@@ -25,9 +25,21 @@ answer and pass through verbatim.  Retries respect idempotency:
   retry decision to the client, who can ask the store whether the
   write landed.
 
+GET/HEAD travel over pooled keep-alive upstream connections: each
+backend keeps a LIFO stack of at most :data:`MAX_IDLE_PER_BACKEND` idle
+connections, so a steady read load pays no TCP connect, accept or close
+per request.  A pooled connection the backend closed while it sat idle
+(the 30 s idle sweep, a restarted worker) fails before any response
+byte arrives; the read is then resent once on a fresh connection to the
+same backend, which is neither a backend error nor an ejection.  POST
+and every other non-idempotent method always open a fresh connection
+and close it afterwards, so a stale socket can never blur the
+"never replay an ingest" rule above.
+
 ``GET /v1/balancer`` on the proxy itself reports the rotation: per
 backend admitted/ejected state, probe counters, proxied request
-tallies, ejection/re-admission counts.
+tallies, upstream connects and pooled reuses, idle pool size,
+ejection/re-admission counts.
 """
 
 from __future__ import annotations
@@ -49,6 +61,14 @@ __all__ = ["Backend", "Balancer"]
 #: connection failure (RFC 9110 §9.2.2).
 _IDEMPOTENT_METHODS = frozenset({"GET", "HEAD"})
 
+#: Idle keep-alive upstream connections kept per backend.  A burst wider
+#: than this closes its surplus connections as they come back.
+MAX_IDLE_PER_BACKEND = 16
+
+#: How a pooled connection the backend closed while idle fails before
+#: any response byte (``RemoteDisconnected`` is a ConnectionResetError).
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
+
 
 def _error_body(status: int, message: str) -> bytes:
     """The API layer's canonical JSON error envelope."""
@@ -65,6 +85,10 @@ _HOP_BY_HOP = frozenset({
     "proxy-authorization", "te", "trailers", "transfer-encoding",
     "upgrade", "host", "content-length",
 })
+
+#: Backend response headers the proxy drops: hop-by-hop ones, plus the
+#: ``Server`` and ``Date`` its own status line already sends.
+_DROPPED_RESPONSE_HEADERS = _HOP_BY_HOP | {"server", "date"}
 
 
 class Backend:
@@ -84,6 +108,11 @@ class Backend:
         self.errors = 0
         self.ejections = 0
         self.readmissions = 0
+        self.connects = 0
+        self.reuses = 0
+        #: Idle keep-alive connections, most recently used last; guarded
+        #: by the owning balancer's lock.
+        self.idle: list[http.client.HTTPConnection] = []
         self.last_probe_error: Optional[str] = None
 
     def describe(self) -> dict[str, Any]:
@@ -96,6 +125,9 @@ class Backend:
             "errors": self.errors,
             "ejections": self.ejections,
             "readmissions": self.readmissions,
+            "connects": self.connects,
+            "reuses": self.reuses,
+            "idle": len(self.idle),
             "last_probe_error": self.last_probe_error,
         }
 
@@ -154,6 +186,7 @@ class Balancer:
                 return
             backend.admitted = False
             backend.ejections += 1
+        self._close_idle(backend)
         obslog.log_event("balance.eject", level="warning",
                          backend=backend.url, reason=reason)
 
@@ -210,35 +243,100 @@ class Balancer:
             "backends": backends,
         }
 
+    # -- upstream connections ---------------------------------------------
+    def _connect(self, backend: Backend) -> http.client.HTTPConnection:
+        """A fresh connection; :class:`_ConnectFailed` if none is made."""
+        conn = http.client.HTTPConnection(backend.host, backend.port,
+                                          timeout=self.timeout)
+        try:
+            conn.connect()
+        except OSError as error:
+            conn.close()
+            raise _ConnectFailed(str(error)) from error
+        with self._lock:
+            backend.connects += 1
+        return conn
+
+    def _borrow(self, backend: Backend
+                ) -> Optional[http.client.HTTPConnection]:
+        with self._lock:
+            if not backend.idle:
+                return None
+            backend.reuses += 1
+            return backend.idle.pop()
+
+    def _release(self, backend: Backend,
+                 conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if (backend.admitted and not self._stop.is_set()
+                    and len(backend.idle) < MAX_IDLE_PER_BACKEND):
+                backend.idle.append(conn)
+                return
+        conn.close()
+
+    def _close_idle(self, backend: Backend) -> None:
+        with self._lock:
+            idle, backend.idle = backend.idle, []
+        for conn in idle:
+            conn.close()
+
     # -- proxying ---------------------------------------------------------
+    def _exchange(self, backend: Backend, conn: http.client.HTTPConnection,
+                  method: str, path: str, headers: dict[str, str],
+                  body: bytes, *, pooled: bool, reused: bool
+                  ) -> Optional[tuple[int, list[tuple[str, str]], bytes]]:
+        """Send one request on ``conn`` and read the whole response.
+
+        ``conn`` goes back to the idle stack when ``pooled`` and the
+        backend keeps it open, and is closed otherwise.  Returns ``None``
+        when ``reused`` and the connection turns out closed before any
+        response byte arrived; any other :class:`OSError` means the
+        request was at least partially on the wire when the backend died.
+        """
+        try:
+            try:
+                conn.request(method, path, body=body or None, headers=headers)
+                response = conn.getresponse()
+            except _STALE_ERRORS:
+                if not reused:
+                    raise
+                conn.close()
+                return None
+            payload = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        kept = [(k, v) for k, v in response.getheaders()
+                if k.lower() not in _DROPPED_RESPONSE_HEADERS]
+        if pooled and not response.will_close:
+            self._release(backend, conn)
+        else:
+            conn.close()
+        return response.status, kept, payload
+
     def _forward(self, backend: Backend, method: str, path: str,
                  headers: dict[str, str], body: bytes
                  ) -> tuple[int, list[tuple[str, str]], bytes]:
         """One proxied exchange.
 
-        Raises :class:`_ConnectFailed` when the TCP connection could not
-        be established at all (nothing was transmitted, so the caller may
-        fail the request over to another backend regardless of method);
-        any other :class:`OSError` means the request was at least
-        partially on the wire when the backend died.
+        GET/HEAD go over a pooled connection when one is idle, and once
+        more over a fresh one if the pooled one had gone stale.  Raises
+        :class:`_ConnectFailed` when a fresh TCP connection could not be
+        established at all (nothing was transmitted, so the caller may
+        fail the request over to another backend regardless of method).
         """
-        conn = http.client.HTTPConnection(backend.host, backend.port,
-                                          timeout=self.timeout)
-        try:
-            out = {k: v for k, v in headers.items()
-                   if k.lower() not in _HOP_BY_HOP}
-            try:
-                conn.connect()
-            except OSError as error:
-                raise _ConnectFailed(str(error)) from error
-            conn.request(method, path, body=body or None, headers=out)
-            response = conn.getresponse()
-            payload = response.read()
-            kept = [(k, v) for k, v in response.getheaders()
-                    if k.lower() not in _HOP_BY_HOP]
-            return response.status, kept, payload
-        finally:
-            conn.close()
+        out = {k: v for k, v in headers.items()
+               if k.lower() not in _HOP_BY_HOP}
+        pooled = method.upper() in _IDEMPOTENT_METHODS
+        if pooled:
+            conn = self._borrow(backend)
+            if conn is not None:
+                result = self._exchange(backend, conn, method, path, out,
+                                        body, pooled=True, reused=True)
+                if result is not None:
+                    return result
+        return self._exchange(backend, self._connect(backend), method, path,
+                              out, body, pooled=pooled, reused=False)
 
     def handle(self, method: str, path: str, headers: dict[str, str],
                body: bytes) -> tuple[int, list[tuple[str, str]], bytes]:
@@ -292,9 +390,11 @@ class Balancer:
                 for key, value in headers:
                     self.send_header(key, value)
                 self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
+                # Head and body in one write (wfile is unbuffered).
+                self._headers_buffer.append(b"\r\n")
                 if self.command != "HEAD":
-                    self.wfile.write(body)
+                    self._headers_buffer.append(body)
+                self.flush_headers()
 
             def _proxy(self) -> None:
                 if self.path == "/v1/balancer":
@@ -383,4 +483,6 @@ class Balancer:
             self._server.server_close()
         for thread in self._threads:
             thread.join(timeout=5)
+        for backend in self.backends:
+            self._close_idle(backend)
         obslog.log_event("balance.stop", port=self.port)

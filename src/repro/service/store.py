@@ -719,8 +719,8 @@ class ArchiveStore:
                 chunk_entries = CHUNK_ENTRIES
                 directory = bytearray()
                 payload = bytearray()
-                for start in range(0, len(store_ids), chunk_entries):
-                    piece = store_ids[start:start + chunk_entries]
+                for first in range(0, len(store_ids), chunk_entries):
+                    piece = store_ids[first:first + chunk_entries]
                     compressed = zlib.compress(_pack_ids(piece), 6)
                     directory += _CHUNK_DIR.pack(len(piece), len(compressed))
                     payload += compressed

@@ -310,6 +310,32 @@ class TestMetricsEndpoint:
         assert samples["repro_store_chunks_inflated_total"] > 0
         assert samples["repro_index_lookups_total"] > 0
 
+    def test_append_seconds_time_each_append(self, tmp_path):
+        """One observation per append, each its own duration (it once
+        observed the process uptime and always landed in ``+Inf``)."""
+        name = "repro_store_append_seconds"
+        before = parse_exposition(metrics.render().decode("utf-8"))
+        appends = 5
+        with ArchiveStore(tmp_path / "timed-store") as store:
+            started = time.perf_counter()
+            for day in range(appends):
+                store.append(ListSnapshot(
+                    "alexa", dt.date(2018, 1, 1) + dt.timedelta(days=day),
+                    ("a.com", f"day{day}.com")))
+            wall = time.perf_counter() - started
+        after = parse_exposition(metrics.render().decode("utf-8"))
+
+        def delta(key):
+            return after.get(key, 0) - before.get(key, 0)
+
+        finite = max((key for key in after
+                      if key.startswith(f'{name}_bucket{{le="')
+                      and "+Inf" not in key),
+                     key=lambda key: float(key.split('"')[1]))
+        assert delta(f"{name}_count") == appends
+        assert 0 < delta(f"{name}_sum") <= wall
+        assert delta(f'{name}_bucket{{le="+Inf"}}') == delta(finite)
+
 
 class TestHealthSatellite:
     def test_health_reports_cache_and_chunk_stats(self, tmp_path):

@@ -9,9 +9,12 @@ backend.
 """
 
 import datetime as dt
+import http.client
 import json
+import os
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -20,7 +23,7 @@ import pytest
 
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service.api import QueryService, create_server
-from repro.service.balance import Backend, Balancer
+from repro.service.balance import MAX_IDLE_PER_BACKEND, Backend, Balancer
 from repro.service.store import ArchiveStore
 
 
@@ -366,6 +369,226 @@ class TestContentLengthValidation:
             assert status == 200
 
 
+def _fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _settle_fds(limit: int) -> int:
+    """Wait for closing sockets to leave the fd table; the final count."""
+    deadline = _deadline(5)
+    while _fd_count() > limit and _now() < deadline:
+        time.sleep(0.02)
+    return _fd_count()
+
+
+class _RecordingBackendHandler(BaseHTTPRequestHandler):
+    """Keep-alive backend logging each non-probe request's client port.
+
+    Subclasses set ``close_after`` to drop the connection after every
+    response *without* announcing ``Connection: close`` (what an idle
+    sweep looks like to a pooled client), or ``barrier`` to hold every
+    GET until that many are in flight at once.
+    """
+
+    protocol_version = "HTTP/1.1"
+    seen: list[tuple[str, int]] = []
+    close_after = False
+    barrier: "threading.Barrier | None" = None
+    ready = True
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        pass
+
+    def _answer(self, status: int = 200) -> None:
+        body = b'{"ok": true}'
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = type(self).close_after
+
+    def do_GET(self) -> None:  # noqa: N802
+        if self.path == "/v1/ready":
+            self._answer(200 if type(self).ready else 503)
+            return
+        type(self).seen.append(("GET", self.client_address[1]))
+        if type(self).barrier is not None:
+            type(self).barrier.wait()
+        self._answer()
+
+    def do_POST(self) -> None:  # noqa: N802
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        type(self).seen.append(("POST", self.client_address[1]))
+        self._answer()
+
+
+@pytest.fixture()
+def recording():
+    """Start a :class:`_RecordingBackendHandler` subclass; yield its URL."""
+    servers = []
+
+    def start(**attrs):
+        handler = type("Handler", (_RecordingBackendHandler,),
+                       {"seen": [], **attrs})
+        server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return f"http://127.0.0.1:{server.server_address[1]}", handler
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+def _balancer_state(balancer: Balancer) -> dict:
+    """The first backend's entry, read over the wire from /v1/balancer."""
+    status, body = _get(f"http://127.0.0.1:{balancer.port}/v1/balancer")
+    assert status == 200
+    return json.loads(body)["backends"][0]
+
+
+class TestProxiedHeaders:
+    def test_one_date_and_one_server_header(self, backends):
+        servers, _ = backends
+        with Balancer(_urls(servers)[:1], check_interval=30) as balancer:
+            conn = http.client.HTTPConnection("127.0.0.1", balancer.port,
+                                              timeout=10)
+            try:
+                conn.request("GET", "/v1/meta")
+                response = conn.getresponse()
+                response.read()
+            finally:
+                conn.close()
+        assert response.status == 200
+        names = [name.lower() for name, _ in response.getheaders()]
+        assert names.count("date") == 1
+        assert names.count("server") == 1
+        assert "etag" in names  # backend headers still pass through
+
+
+class TestUpstreamPool:
+    """GET/HEAD reuse idle keep-alive upstream connections; POST never."""
+
+    def test_sequential_gets_share_one_upstream_connection(self, backends):
+        servers, service = backends
+        expected = service.handle_request("/v1/meta")
+        with Balancer(_urls(servers)[:1], check_interval=0.05) as balancer:
+            conn = http.client.HTTPConnection("127.0.0.1", balancer.port,
+                                              timeout=10)
+            try:
+                for _ in range(20):
+                    conn.request("GET", "/v1/meta")
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    assert response.read() == bytes(expected.body)
+            finally:
+                conn.close()
+            state = _balancer_state(balancer)
+        # The rotation's own /v1/ready probes are not counted.
+        assert (state["connects"], state["reuses"]) == (1, 19)
+        assert state["idle"] == 1
+        assert state["requests"] == 20
+
+    def test_silently_closed_keepalive_socket_is_retried(self, recording):
+        url, handler = recording(close_after=True)
+        with Balancer([url], check_interval=30) as balancer:
+            for _ in range(4):
+                status, _ = _get(f"http://127.0.0.1:{balancer.port}/v1/meta")
+                assert status == 200
+            state = _balancer_state(balancer)
+        assert state["admitted"]
+        assert (state["errors"], state["ejections"]) == (0, 0)
+        # Every pooled reuse found the socket closed and reconnected.
+        assert (state["connects"], state["reuses"]) == (4, 3)
+        assert len(handler.seen) == 4
+
+    def test_posts_never_reuse_a_connection(self, recording):
+        url, handler = recording()
+        with Balancer([url], check_interval=30) as balancer:
+            base = f"http://127.0.0.1:{balancer.port}"
+            for method in ("GET", "POST", "POST", "GET", "POST", "GET"):
+                if method == "GET":
+                    status, _ = _get(base + "/v1/meta")
+                else:
+                    status, _ = _post(base + "/v1/ingest", b"{}")
+                assert status == 200
+            state = _balancer_state(balancer)
+        post_ports = [port for method, port in handler.seen
+                      if method == "POST"]
+        get_ports = {port for method, port in handler.seen
+                     if method == "GET"}
+        assert len(set(post_ports)) == 3
+        assert len(get_ports) == 1  # the GETs kept one pooled connection
+        assert not get_ports & set(post_ports)
+        assert (state["connects"], state["reuses"]) == (4, 2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open fds through /proc")
+    def test_idle_stack_is_capped_and_closed_on_stop(self, recording):
+        clients = 64
+        url, _ = recording(barrier=threading.Barrier(clients, timeout=20))
+        baseline = _fd_count()
+        balancer = Balancer([url], check_interval=30).start()
+        conns = [http.client.HTTPConnection("127.0.0.1", balancer.port,
+                                            timeout=30)
+                 for _ in range(clients)]
+        statuses = []
+
+        def fetch(conn):
+            conn.request("GET", "/v1/meta")
+            response = conn.getresponse()
+            response.read()
+            statuses.append(response.status)
+
+        try:
+            threads = [threading.Thread(target=fetch, args=(conn,))
+                       for conn in conns]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert statuses == [200] * clients
+            # The clients stay connected but quiet.
+            state = _balancer_state(balancer)
+            assert state["connects"] == clients  # all were in flight at once
+            assert state["idle"] == MAX_IDLE_PER_BACKEND
+        finally:
+            for conn in conns:
+                conn.close()
+            balancer.stop()
+        assert balancer.status()["backends"][0]["idle"] == 0
+        assert _settle_fds(baseline) <= baseline
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open fds through /proc")
+    def test_ejection_closes_idle_connections(self, recording):
+        url, handler = recording(barrier=threading.Barrier(4, timeout=20))
+        with Balancer([url], check_interval=0.05) as balancer:
+            baseline = _fd_count()
+            results = []
+            threads = [threading.Thread(
+                target=lambda: results.append(
+                    _get(f"http://127.0.0.1:{balancer.port}/v1/meta")[0]))
+                for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert results == [200] * 4
+            assert balancer.status()["backends"][0]["idle"] == 4
+            handler.ready = False
+            deadline = _deadline(5)
+            while balancer.status()["admitted"] and _now() < deadline:
+                time.sleep(0.02)
+            state = balancer.status()["backends"][0]
+            assert not state["admitted"]
+            assert state["idle"] == 0
+            assert _settle_fds(baseline) <= baseline
+
+
 class TestBackendParsing:
     def test_accepts_url_and_hostport(self):
         assert Backend("http://127.0.0.1:8098").port == 8098
@@ -381,8 +604,6 @@ class TestBackendParsing:
 
 
 def _now():
-    import time
-
     return time.monotonic()
 
 
