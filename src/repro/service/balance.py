@@ -27,7 +27,7 @@ answer and pass through verbatim.  Retries respect idempotency:
 
 GET/HEAD travel over pooled keep-alive upstream connections: each
 backend keeps a LIFO stack of at most :data:`MAX_IDLE_PER_BACKEND` idle
-connections, so a steady read load pays no TCP connect, accept or close
+connections, so a steady read load pays no TCP connect, accept and close
 per request.  A pooled connection the backend closed while it sat idle
 (the 30 s idle sweep, a restarted worker) fails before any response
 byte arrives; the read is then resent once on a fresh connection to the
@@ -36,24 +36,49 @@ and every other non-idempotent method always open a fresh connection
 and close it afterwards, so a stale socket can never blur the
 "never replay an ingest" rule above.
 
+The proxy is a raw-bytes HTTP/1.1 relay with one thread per client
+connection.  Request heads are framed by :mod:`repro.service.http1`,
+the parser the event-loop workers use, so malformed, oversized, chunked
+or unframed requests get the same answers from the proxy as from a
+worker, and are never forwarded.  That includes a header line with a
+control character or a CR inside it: a stdlib backend would split it
+into lines the proxy never saw.  Upstream, the proxy writes the request
+head itself: the hop-by-hop headers (``Connection``, ``Keep-Alive``,
+``Proxy-*``, ``TE``, ``Trailers``, ``Transfer-Encoding``, ``Upgrade``)
+and ``Expect`` are removed (the proxy answers an HTTP/1.1 ``Expect:
+100-continue`` itself before it reads the body), ``Host`` names the
+backend, and ``Content-Length`` is rewritten — only a POST carries a
+body upstream; any other method's declared body is drained, as a
+worker would.  The reply is framed by its ``Content-Length`` (no body
+for a HEAD, 1xx, 204 or 304); one without a length is read to EOF, and
+neither it nor one with ``Connection: close`` leaves its connection in
+the pool.  A chunked reply counts as a connection failure (repro-serve
+backends never send one).  The client gets the backend's status and
+headers minus the hop-by-hop ones, with the proxy's own single
+``Server: repro-serve/1.1`` and ``Date`` in place of the backend's, in
+one write.
+
 ``GET /v1/balancer`` on the proxy itself reports the rotation: per
 backend admitted/ejected state, probe counters, proxied request
 tallies, upstream connects and pooled reuses, idle pool size,
-ejection/re-admission counts.
+ejection/re-admission counts.  ``GET /v1/balancer/metrics`` renders the
+same per-backend counters as Prometheus text; they are read at scrape
+time, so they cost nothing per request.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional
 from urllib.parse import urlsplit
 
 from repro.obs import logging as obslog
-from repro.service.api import MAX_BODY_BYTES, json_bytes
+from repro.obs.metrics import MetricsRegistry
+from repro.service import http1
 
 __all__ = ["Backend", "Balancer"]
 
@@ -66,29 +91,65 @@ _IDEMPOTENT_METHODS = frozenset({"GET", "HEAD"})
 MAX_IDLE_PER_BACKEND = 16
 
 #: How a pooled connection the backend closed while idle fails before
-#: any response byte (``RemoteDisconnected`` is a ConnectionResetError).
+#: any response byte.
 _STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
 
+#: One recv reads up to this much.
+_RECV_CHUNK = 65536
 
-def _error_body(status: int, message: str) -> bytes:
-    """The API layer's canonical JSON error envelope."""
-    return json_bytes({"error": {"status": status, "message": message}})
+#: After answering with a close, the proxy reads (and drops) what the
+#: client still sends for at most this long, so a request already in
+#: flight does not turn the close into a reset.
+_LINGER_S = 2.0
+
+#: Headers that describe one connection, not the message (RFC 9110
+#: §7.6.1); the proxy never passes them on in either direction.
+_HOP_BY_HOP = frozenset({
+    "connection", "keep-alive", "proxy-authenticate",
+    "proxy-authorization", "te", "trailers", "transfer-encoding",
+    "upgrade",
+})
+
+#: Request headers the proxy does not forward: hop-by-hop ones, the
+#: ``Host`` and ``Content-Length`` it writes itself, and ``Expect`` (the
+#: body is already buffered, so a backend's 100-continue is moot).
+_DROPPED_REQUEST_HEADERS = _HOP_BY_HOP | {"host", "content-length", "expect"}
+
+#: Backend response headers the proxy drops: hop-by-hop ones, plus the
+#: ``Server`` and ``Date`` its own head already carries.
+_DROPPED_RESPONSE_HEADERS = _HOP_BY_HOP | {"server", "date"}
+
+#: ``/v1/balancer/metrics`` families: (describe() key, name, type, help).
+_METRIC_FAMILIES = (
+    ("requests", "repro_balance_requests_total", "counter",
+     "Proxied requests routed to the backend."),
+    ("errors", "repro_balance_errors_total", "counter",
+     "Proxied requests that failed at the connection level."),
+    ("ejections", "repro_balance_ejections_total", "counter",
+     "Times the backend left the rotation."),
+    ("readmissions", "repro_balance_readmissions_total", "counter",
+     "Times the backend re-entered the rotation."),
+    ("connects", "repro_balance_upstream_connects_total", "counter",
+     "Upstream connections opened for proxied requests."),
+    ("reuses", "repro_balance_upstream_reuses_total", "counter",
+     "Proxied requests sent on a pooled keep-alive connection."),
+    ("idle", "repro_balance_idle_connections", "gauge",
+     "Idle pooled upstream connections."),
+    ("admitted", "repro_balance_admitted", "gauge",
+     "1 while the backend is in the rotation."),
+)
+
+#: What :meth:`Balancer.handle` returns: status, header lines as wire
+#: bytes (``Content-Length`` included), body.
+Reply = tuple[int, bytes, bytes]
+
+
+def _error_reply(status: int, message: str, fields: bytes = b"") -> Reply:
+    return (status, *http1.envelope(status, message, fields))
 
 
 class _ConnectFailed(OSError):
     """Connection failed before a single request byte was transmitted."""
-
-#: Request headers the proxy must not forward (hop-by-hop; the proxy
-#: manages its own connections and re-frames bodies by length).
-_HOP_BY_HOP = frozenset({
-    "connection", "keep-alive", "proxy-authenticate",
-    "proxy-authorization", "te", "trailers", "transfer-encoding",
-    "upgrade", "host", "content-length",
-})
-
-#: Backend response headers the proxy drops: hop-by-hop ones, plus the
-#: ``Server`` and ``Date`` its own status line already sends.
-_DROPPED_RESPONSE_HEADERS = _HOP_BY_HOP | {"server", "date"}
 
 
 class Backend:
@@ -101,6 +162,9 @@ class Backend:
         self.host: str = parts.hostname
         self.port: int = parts.port or 80
         self.url = f"http://{self.host}:{self.port}"
+        name = f"[{self.host}]" if ":" in self.host else self.host
+        #: The ``Host`` line of every request forwarded here.
+        self.host_field = f"Host: {name}:{self.port}\r\n".encode("latin-1")
         self.admitted = True
         self.consecutive_failures = 0
         self.probes = 0
@@ -137,15 +201,17 @@ class Balancer:
 
     ``start()`` boots the health-check thread and the proxy server;
     ``stop()`` drains both.  ``eject_after`` consecutive failed probes
-    remove a backend from rotation; one passing probe re-admits it.
-    A proxied request that fails at the connection level also ejects
-    its backend immediately — faster than waiting out a probe period —
-    and is retried on the next admitted backend.
+    remove a backend from rotation (the default of 3 rides out a probe
+    that lands on a reader in the moment between a store publish and
+    its adoption); one passing probe re-admits it.  A proxied request
+    that fails at the connection level also ejects its backend
+    immediately — faster than waiting out a probe period — and is
+    retried on the next admitted backend.
     """
 
     def __init__(self, backends: list[str] | list[Backend], *,
                  host: str = "127.0.0.1", port: int = 0,
-                 check_interval: float = 0.25, eject_after: int = 1,
+                 check_interval: float = 0.25, eject_after: int = 3,
                  timeout: float = 10.0) -> None:
         if not backends:
             raise ValueError("at least one backend required")
@@ -162,7 +228,9 @@ class Balancer:
         self._lock = threading.Lock()
         self._rr = 0
         self._stop = threading.Event()
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._listen: Optional[socket.socket] = None
+        #: Open client sockets, shut down by ``stop()``; guarded by _lock.
+        self._clients: set[socket.socket] = set()
         self._threads: list[threading.Thread] = []
 
     # -- rotation ---------------------------------------------------------
@@ -243,6 +311,14 @@ class Balancer:
             "backends": backends,
         }
 
+    def metrics(self) -> bytes:
+        """Per-backend counters as Prometheus text, read at scrape time."""
+        backends = self.status()["backends"]
+        return MetricsRegistry().render(extra=[
+            (name, kind, description, [({"backend": b["url"]}, b[key])
+                                       for b in backends])
+            for key, name, kind, description in _METRIC_FAMILIES])
+
     # -- upstream connections ---------------------------------------------
     def _connect(self, backend: Backend) -> http.client.HTTPConnection:
         """A fresh connection; :class:`_ConnectFailed` if none is made."""
@@ -282,10 +358,9 @@ class Balancer:
 
     # -- proxying ---------------------------------------------------------
     def _exchange(self, backend: Backend, conn: http.client.HTTPConnection,
-                  method: str, path: str, headers: dict[str, str],
-                  body: bytes, *, pooled: bool, reused: bool
-                  ) -> Optional[tuple[int, list[tuple[str, str]], bytes]]:
-        """Send one request on ``conn`` and read the whole response.
+                  request: bytes, head_only: bool, *, pooled: bool,
+                  reused: bool) -> Optional[Reply]:
+        """Send one request on ``conn`` and read the whole reply.
 
         ``conn`` goes back to the idle stack when ``pooled`` and the
         backend keeps it open, and is closed otherwise.  Returns ``None``
@@ -293,30 +368,31 @@ class Balancer:
         response byte arrived; any other :class:`OSError` means the
         request was at least partially on the wire when the backend died.
         """
+        sock = conn.sock
         try:
             try:
-                conn.request(method, path, body=body or None, headers=headers)
-                response = conn.getresponse()
+                sock.sendall(request)
+                data = sock.recv(_RECV_CHUNK)
             except _STALE_ERRORS:
-                if not reused:
-                    raise
-                conn.close()
-                return None
-            payload = response.read()
+                data = b""
+            if not data:
+                if reused:
+                    conn.close()
+                    return None
+                raise ConnectionResetError(
+                    "backend closed the connection without answering")
+            status, fields, body, keep = _read_reply(sock, data, head_only)
         except BaseException:
             conn.close()
             raise
-        kept = [(k, v) for k, v in response.getheaders()
-                if k.lower() not in _DROPPED_RESPONSE_HEADERS]
-        if pooled and not response.will_close:
+        if pooled and keep:
             self._release(backend, conn)
         else:
             conn.close()
-        return response.status, kept, payload
+        return status, fields, body
 
-    def _forward(self, backend: Backend, method: str, path: str,
-                 headers: dict[str, str], body: bytes
-                 ) -> tuple[int, list[tuple[str, str]], bytes]:
+    def _forward(self, backend: Backend, method: str, request: bytes
+                 ) -> Reply:
         """One proxied exchange.
 
         GET/HEAD go over a pooled connection when one is idle, and once
@@ -325,22 +401,34 @@ class Balancer:
         established at all (nothing was transmitted, so the caller may
         fail the request over to another backend regardless of method).
         """
-        out = {k: v for k, v in headers.items()
-               if k.lower() not in _HOP_BY_HOP}
-        pooled = method.upper() in _IDEMPOTENT_METHODS
+        head_only = method == "HEAD"
+        pooled = method in _IDEMPOTENT_METHODS
         if pooled:
             conn = self._borrow(backend)
             if conn is not None:
-                result = self._exchange(backend, conn, method, path, out,
-                                        body, pooled=True, reused=True)
-                if result is not None:
-                    return result
-        return self._exchange(backend, self._connect(backend), method, path,
-                              out, body, pooled=pooled, reused=False)
+                reply = self._exchange(backend, conn, request, head_only,
+                                       pooled=True, reused=True)
+                if reply is not None:
+                    return reply
+        return self._exchange(backend, self._connect(backend), request,
+                              head_only, pooled=pooled, reused=False)
 
     def handle(self, method: str, path: str, headers: dict[str, str],
-               body: bytes) -> tuple[int, list[tuple[str, str]], bytes]:
-        """Route one request; retry semantics depend on idempotency."""
+               body: bytes) -> Reply:
+        """Route one request; retry semantics depend on idempotency.
+
+        Returns ``(status, header lines, body)``; the header lines are
+        wire bytes ending in ``Content-Length``, without ``Server`` and
+        ``Date``.  Only a POST's ``body`` is forwarded.
+        """
+        fields = [f"{name}: {value}\r\n" for name, value in headers.items()
+                  if name.lower() not in _DROPPED_REQUEST_HEADERS]
+        if method == "POST":
+            fields.append(f"Content-Length: {len(body)}\r\n")
+        else:
+            body = b""
+        line = f"{method} {path} HTTP/1.1\r\n".encode("latin-1")
+        rest = ("".join(fields) + "\r\n").encode("latin-1") + body
         attempts = max(1, len(self.backends))
         for _ in range(attempts):
             backend = self.pick()
@@ -348,7 +436,8 @@ class Balancer:
                 break
             backend.requests += 1
             try:
-                return self._forward(backend, method, path, headers, body)
+                return self._forward(backend, method,
+                                     line + backend.host_field + rest)
             except _ConnectFailed:
                 # Nothing reached the backend: safe to try the next one
                 # whatever the method.
@@ -357,7 +446,7 @@ class Balancer:
             except OSError:
                 backend.errors += 1
                 self._eject(backend, "connection failure mid-request")
-                if method.upper() in _IDEMPOTENT_METHODS:
+                if method in _IDEMPOTENT_METHODS:
                     continue
                 # The request (an ingest, say) may already have been
                 # applied by the dead backend; replaying it elsewhere
@@ -365,103 +454,131 @@ class Balancer:
                 obslog.log_event("balance.abort_nonidempotent",
                                  level="warning", backend=backend.url,
                                  method=method, path=path)
-                return 502, [("Content-Type", "application/json")], \
-                    _error_body(
-                        502,
-                        "backend connection lost after the request was "
-                        "sent; not retried because the method is not "
-                        "idempotent — the request may have been applied")
-        return 503, [("Content-Type", "application/json"),
-                     ("Retry-After", "1")], \
-            _error_body(503, "no admitted backend available")
+                return _error_reply(
+                    502, "backend connection lost after the request was "
+                         "sent; not retried because the method is not "
+                         "idempotent — the request may have been applied")
+        return _error_reply(503, "no admitted backend available",
+                            b"Retry-After: 1\r\n")
+
+    def _route(self, head: http1.RequestHead, body: bytes) -> Reply:
+        """The proxy's own endpoints, else :meth:`handle`."""
+        if head.target == "/v1/balancer":
+            body = (json.dumps(self.status(), indent=2) + "\n").encode()
+            return 200, http1.json_fields(body), body
+        if head.target == "/v1/balancer/metrics":
+            text = self.metrics()
+            return 200, (b"Content-Type: text/plain; version=0.0.4; "
+                         b"charset=utf-8\r\nContent-Length: %d\r\n"
+                         % len(text)), text
+        try:
+            return self.handle(head.method, head.target, head.headers, body)
+        except Exception as error:  # noqa: BLE001 — keep serving
+            obslog.log_event("balance.proxy_failure", level="error",
+                             method=head.method, path=head.target,
+                             error=repr(error))
+            return _error_reply(502, "proxy failure")
+
+    # -- client connections -------------------------------------------------
+    def _serve_client(self, sock: socket.socket) -> None:
+        """Answer one client connection's requests in order, then close."""
+        buf = bytearray()
+        scan = 0
+        discard = 0  # declared non-POST body bytes still to drop
+        eof = False
+        try:
+            while True:
+                if discard:
+                    take = min(discard, len(buf))
+                    del buf[:take]
+                    discard -= take
+                head = None
+                if not discard:
+                    try:
+                        head, scan = http1.parse_request_head(buf, eof, scan)
+                        if head is not None:
+                            length, close = http1.request_body(
+                                head.method, head.headers)
+                    except http1.HeadError as error:
+                        sock.sendall(http1.error_reply(error))
+                        return
+                if head is None:
+                    if eof:
+                        return
+                    data = sock.recv(_RECV_CHUNK)
+                    if data:
+                        buf += data
+                    else:
+                        eof = True
+                    continue
+                body = b""
+                if head.method == "POST":
+                    if head.expect_continue and len(buf) < length:
+                        sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+                    while len(buf) < length and not eof:
+                        data = sock.recv(min(length - len(buf), 1 << 20))
+                        if data:
+                            buf += data
+                        else:
+                            eof = True
+                    if len(buf) < length:
+                        sock.sendall(http1.error_reply(http1.HeadError(
+                            400, "request body shorter than Content-Length")))
+                        return
+                    body = bytes(buf[:length])
+                    del buf[:length]
+                else:
+                    discard = length
+                status, fields, payload = self._route(head, body)
+                if head.simple:
+                    sock.sendall(payload)
+                    return
+                close = close or head.close
+                wire = http1.response_head(status, fields, close)
+                sock.sendall(wire if head.method == "HEAD"
+                             else wire + payload)
+                if close:
+                    return
+        except OSError:
+            pass  # client went away (or stop() shut the socket down)
+        finally:
+            with self._lock:
+                self._clients.discard(sock)
+            if not eof:
+                _linger(sock)
+            sock.close()
+
+    def _accept_loop(self, listen: socket.socket) -> None:
+        while not self._stop.is_set():
+            try:
+                sock, _addr = listen.accept()
+            except OSError:
+                if self._stop.is_set():
+                    return
+                # Out of descriptors, say: back off instead of spinning.
+                self._stop.wait(0.05)
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                if self._stop.is_set():
+                    sock.close()
+                    return
+                self._clients.add(sock)
+            threading.Thread(target=self._serve_client, args=(sock,),
+                             name="balance-client", daemon=True).start()
 
     # -- server lifecycle -------------------------------------------------
     def start(self) -> "Balancer":
-        balancer = self
-
-        class _ProxyHandler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def _respond(self, status: int,
-                         headers: list[tuple[str, str]],
-                         body: bytes) -> None:
-                self.send_response(status)
-                for key, value in headers:
-                    self.send_header(key, value)
-                self.send_header("Content-Length", str(len(body)))
-                # Head and body in one write (wfile is unbuffered).
-                self._headers_buffer.append(b"\r\n")
-                if self.command != "HEAD":
-                    self._headers_buffer.append(body)
-                self.flush_headers()
-
-            def _proxy(self) -> None:
-                if self.path == "/v1/balancer":
-                    body = (json.dumps(balancer.status(), indent=2) + "\n"
-                            ).encode("utf-8")
-                    self._respond(200, [("Content-Type",
-                                         "application/json")], body)
-                    return
-                declared = self.headers.get("Content-Length")
-                try:
-                    length = int(declared) if declared is not None else 0
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    # Framing is unknowable from here on: answer the API
-                    # layer's envelope and drop the connection.
-                    self.close_connection = True
-                    self._respond(
-                        400, [("Content-Type", "application/json"),
-                              ("Connection", "close")],
-                        _error_body(
-                            400, f"invalid Content-Length {declared!r}"))
-                    return
-                if length > MAX_BODY_BYTES:
-                    self.close_connection = True
-                    self._respond(
-                        413, [("Content-Type", "application/json"),
-                              ("Connection", "close")],
-                        _error_body(
-                            413, f"request body exceeds "
-                                 f"{MAX_BODY_BYTES} bytes"))
-                    return
-                request_body = self.rfile.read(length) if length else b""
-                status, headers, body = balancer.handle(
-                    self.command, self.path, dict(self.headers.items()),
-                    request_body)
-                self._respond(status, headers, body)
-
-            def _guarded(self) -> None:
-                try:
-                    self._proxy()
-                except (BrokenPipeError, ConnectionResetError,
-                        TimeoutError):
-                    self.close_connection = True
-                except Exception:  # noqa: BLE001 — proxy must not die
-                    try:
-                        self._respond(502, [("Content-Type",
-                                             "application/json")],
-                                      b'{"error": {"status": 502, '
-                                      b'"message": "proxy failure"}}')
-                    except OSError:
-                        self.close_connection = True
-
-            do_GET = do_HEAD = do_POST = do_PUT = do_DELETE = _guarded  # noqa: N815
-
-            def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-                pass
-
-        server = ThreadingHTTPServer((self.host, self._requested_port),
-                                     _ProxyHandler)
-        server.daemon_threads = True
-        self._server = server
-        self.port = server.server_address[1]
+        listen = socket.create_server((self.host, self._requested_port),
+                                      backlog=128)
+        self._listen = listen
+        self.port = listen.getsockname()[1]
         self.check_once()  # seed rotation state before the first request
-        for name, target in (("balance-probe", self._probe_loop),
-                             ("balance-serve", server.serve_forever)):
-            thread = threading.Thread(target=target, name=name, daemon=True)
+        for name, target, args in (
+                ("balance-probe", self._probe_loop, ()),
+                ("balance-serve", self._accept_loop, (listen,))):
+            thread = threading.Thread(target=target, args=args, name=name,
+                                      daemon=True)
             thread.start()
             self._threads.append(thread)
         obslog.log_event("balance.start", port=self.port,
@@ -478,11 +595,110 @@ class Balancer:
         if self._stop.is_set():
             return
         self._stop.set()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
+        if self._listen is not None:
+            try:
+                self._listen.shutdown(socket.SHUT_RDWR)  # wakes accept()
+            except OSError:
+                pass
         for thread in self._threads:
             thread.join(timeout=5)
+        if self._listen is not None:
+            self._listen.close()
+        with self._lock:
+            for sock in self._clients:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
         for backend in self.backends:
             self._close_idle(backend)
         obslog.log_event("balance.stop", port=self.port)
+
+
+def _read_reply(sock: socket.socket, data: bytes, head_only: bool
+                ) -> tuple[int, bytes, bytes, bool]:
+    """Frame one upstream reply that begins with ``data``.
+
+    Returns ``(status, relayed header lines, body, reusable)``.
+    Anything that cannot be framed raises :class:`OSError`, like a
+    connection lost mid-reply.
+    """
+    end = data.find(b"\r\n\r\n")
+    while end < 0:
+        if len(data) > http1.MAX_HEAD_BYTES:
+            raise OSError("backend reply head too large")
+        chunk = sock.recv(_RECV_CHUNK)
+        if not chunk:
+            raise ConnectionResetError("backend closed mid-reply")
+        data += chunk
+        end = data.find(b"\r\n\r\n")
+    line_end = data.find(b"\r\n")
+    status_line = data[:line_end].split(None, 2)
+    try:
+        status = int(status_line[1])
+    except (IndexError, ValueError):
+        raise OSError(f"malformed backend status line "
+                      f"{data[:line_end][:80]!r}") from None
+    keep = status_line[0] == b"HTTP/1.1"
+    length = None
+    kept = []
+    for name, value in http1.split_fields(data[line_end + 2:end]):
+        lower = name.lower()
+        if lower == "content-length":
+            try:
+                length = int(value)
+            except ValueError:
+                raise OSError(f"backend sent Content-Length "
+                              f"{value!r}") from None
+            kept.append(f"{name}: {value}\r\n")
+        elif lower == "connection":
+            keep = keep and "close" not in value.lower()
+        elif lower == "transfer-encoding":
+            raise OSError("backend sent a Transfer-Encoding reply; "
+                          "the relay frames replies by Content-Length")
+        elif lower not in _DROPPED_RESPONSE_HEADERS:
+            kept.append(f"{name}: {value}\r\n")
+    start = end + 4
+    if head_only or status < 200 or status in (204, 304):
+        body = b""
+        keep = keep and len(data) == start
+    elif length is not None:
+        body = data[start:start + length]
+        if len(body) < length:
+            body = bytearray(body)
+            while len(body) < length:
+                chunk = sock.recv(min(length - len(body), 1 << 20))
+                if not chunk:
+                    raise ConnectionResetError("backend closed mid-reply")
+                body += chunk
+            body = bytes(body)
+        keep = keep and len(data) <= start + length
+    else:
+        # No length: the reply ends at EOF, and the connection with it.
+        buf = bytearray(data[start:])
+        while True:
+            chunk = sock.recv(_RECV_CHUNK)
+            if not chunk:
+                break
+            buf += chunk
+        body = bytes(buf)
+        kept.append(f"Content-Length: {len(body)}\r\n")
+        keep = False
+    return status, "".join(kept).encode("latin-1"), body, keep
+
+
+def _linger(sock: socket.socket) -> None:
+    """Send FIN, then drop what the client still sends, briefly.
+
+    Closing with unread request bytes in the kernel buffer would reset
+    the connection, and the client could lose the answer it has not
+    read yet.
+    """
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        sock.settimeout(_LINGER_S)
+        deadline = time.monotonic() + _LINGER_S
+        while sock.recv(_RECV_CHUNK) and time.monotonic() < deadline:
+            pass
+    except OSError:
+        pass

@@ -515,9 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     balance.add_argument("--check-interval", type=float, default=0.25,
                          help="seconds between /v1/ready probes "
                               "(default 0.25)")
-    balance.add_argument("--eject-after", type=int, default=1,
+    balance.add_argument("--eject-after", type=int, default=3,
                          help="consecutive failed probes before a "
-                              "backend leaves rotation (default 1)")
+                              "backend leaves rotation (default 3)")
     balance.add_argument("--log-level", default="info",
                          choices=sorted(obslog.LEVELS))
     balance.set_defaults(func=_cmd_balance)

@@ -26,6 +26,14 @@ server):
   points (``api.request.read``, ``api.response.write``) fire the same
   way.
 
+Request heads are framed by :mod:`repro.service.http1`, the parser the
+``balance`` relay shares.  Every connection's resources are bounded: a
+client that pipelines without reading stops being read (and its
+buffered requests stop being parsed) once
+:data:`_OUT_HIGH_WATER` response bytes are queued for it, and an
+``accept`` that fails for lack of descriptors parks the listen socket
+until the next idle sweep rather than spinning the loop.
+
 Responses are written **zero-copy**: the service's shared-payload-cache
 hits arrive as :class:`memoryview` slices over the mmap'd segment
 (:meth:`repro.service.shared_cache.SharedPayloadCache.get`), and the
@@ -43,23 +51,25 @@ threaded).
 
 from __future__ import annotations
 
+import errno
 import os
 import selectors
 import socket
 import threading
 import time
-from email.utils import formatdate
-from http.client import responses as _REASONS
+from collections import deque
+from itertools import islice
 from typing import Any, Optional
 from urllib.parse import urlsplit
 
 from repro import faults
 from repro.obs import logging as obslog
 from repro.obs import tracing
+from repro.service import http1
 from repro.service.api import (
-    MAX_BODY_BYTES, UNHANDLED_ERRORS_CAPACITY, QueryService, Response,
-    _M_ERRORS, _M_REQUESTS, _M_REQUEST_SECONDS, _M_UNHANDLED,
-    allowed_methods, json_bytes)
+    UNHANDLED_ERRORS_CAPACITY, QueryService, Response, _M_ERRORS,
+    _M_REQUESTS, _M_REQUEST_SECONDS, _M_UNHANDLED, allowed_methods,
+    json_bytes)
 from repro.util.ringlog import RingLog
 
 __all__ = ["EventLoopServer"]
@@ -67,18 +77,14 @@ __all__ = ["EventLoopServer"]
 #: One recv per readiness event reads up to this much.
 _RECV_CHUNK = 65536
 
-#: Longest tolerated request line (stdlib parity: 65536 + fudge).
-_MAX_REQUEST_LINE = 65536
+#: Queued response bytes at which a connection stops parsing pipelined
+#: requests; it resumes once its queue has drained to the socket.
+_OUT_HIGH_WATER = 256 << 10
 
-#: Total request-head bound (line + headers) before 431.
-_MAX_HEAD_BYTES = 1 << 20
+#: ``accept`` failures that mean "out of descriptors": the listen
+#: socket is parked until the next idle sweep instead of spinning.
+_ACCEPT_EXHAUSTED = frozenset({errno.EMFILE, errno.ENFILE})
 
-#: Upper bound on a discarded non-POST body (same constant as the
-#: threaded handler's ``_MAX_DISCARDED_BODY``).
-_MAX_DISCARDED_BODY = 1 << 20
-
-#: Methods the service layer answers; everything else is 405/501.
-_SERVICE_METHODS = frozenset({"GET", "HEAD", "POST"})
 _WRITEISH_METHODS = frozenset({"PUT", "DELETE", "PATCH"})
 
 _READ = selectors.EVENT_READ
@@ -88,16 +94,17 @@ _WRITE = selectors.EVENT_WRITE
 class _Connection:
     """Per-socket state: one of these per client, however idle."""
 
-    __slots__ = ("sock", "fd", "inbuf", "scan_pos", "out", "events",
-                 "closing", "draining", "discard", "pending", "need", "eof",
-                 "last_activity")
+    __slots__ = ("sock", "fd", "inbuf", "scan_pos", "out", "queued",
+                 "events", "closing", "draining", "discard", "pending", "need",
+                 "eof", "last_activity")
 
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock: Optional[socket.socket] = sock
         self.fd = sock.fileno()
         self.inbuf = bytearray()
         self.scan_pos = 0           # head-scan resume point (O(n) total)
-        self.out: list[Any] = []    # bytes / memoryview, in write order
+        self.out: deque[Any] = deque()  # bytes / memoryview, write order
+        self.queued = 0             # bytes in ``out``
         self.events = _READ
         self.closing = False        # no more requests; close once flushed
         self.draining = False       # FIN sent; discarding until client EOF
@@ -167,7 +174,7 @@ class EventLoopServer:
         self._stopped = threading.Event()
         self._stopped.set()
         self._loop_thread: Optional[threading.Thread] = None
-        self._date_cache: tuple[int, bytes] = (0, b"")
+        self._accept_parked = False
         self._closed = False
 
     @property
@@ -179,6 +186,7 @@ class EventLoopServer:
         self._loop_thread = threading.current_thread()
         self._shutdown_request = False
         self._stopped.clear()
+        self._accept_parked = False
         sel = self._selector
         sel.register(self._listen, _READ, data="listen")
         sel.register(self._wake_recv, _READ, data="wake")
@@ -235,7 +243,13 @@ class EventLoopServer:
                 sock, _addr = self._listen.accept()
             except (BlockingIOError, InterruptedError):
                 return
-            except OSError:
+            except OSError as error:
+                if error.errno in _ACCEPT_EXHAUSTED:
+                    # Level-triggered epoll would report the backlog
+                    # again at once: park the listen socket until the
+                    # next idle sweep, which may also free descriptors.
+                    self._selector.unregister(self._listen)
+                    self._accept_parked = True
                 return
             sock.setblocking(False)
             try:
@@ -266,17 +280,23 @@ class EventLoopServer:
             pass
         conn.sock = None
         conn.out.clear()
+        conn.queued = 0
 
     def _sweep_idle(self, now: float) -> None:
         cutoff = now - self.timeout
         for conn in [c for c in self._conns.values()
                      if c.last_activity < cutoff]:
             self._close_conn(conn)
+        if self._accept_parked:
+            self._accept_parked = False
+            self._selector.register(self._listen, _READ, data="listen")
 
     def _handle_event(self, conn: _Connection, mask: int) -> None:
         try:
             if mask & _WRITE:
                 self._flush(conn)
+                if conn.sock is not None and not conn.out and conn.inbuf:
+                    self._process(conn)  # resume a paused pipeline
             if conn.sock is not None and mask & _READ:
                 self._read(conn)
         except BaseException as error:  # noqa: BLE001 — loop must survive
@@ -326,192 +346,91 @@ class EventLoopServer:
 
     # -- request parsing ---------------------------------------------------
     def _process(self, conn: _Connection) -> None:
-        """Drive the parse state machine over whatever is buffered."""
-        while conn.sock is not None and not conn.closing:
-            if conn.discard:
-                take = min(len(conn.inbuf), conn.discard)
-                del conn.inbuf[:take]
-                conn.scan_pos = 0
-                conn.discard -= take
+        """Drive the parse state machine over whatever is buffered.
+
+        Parsing pauses once :data:`_OUT_HIGH_WATER` response bytes are
+        queued; it goes on here if the flush drained them, else from
+        the connection's next write event.
+        """
+        while True:
+            while (conn.sock is not None and not conn.closing
+                   and conn.queued < _OUT_HIGH_WATER):
                 if conn.discard:
-                    if conn.eof:
-                        conn.closing = True  # drained body never arriving
+                    take = min(len(conn.inbuf), conn.discard)
+                    del conn.inbuf[:take]
+                    conn.scan_pos = 0
+                    conn.discard -= take
+                    if conn.discard:
+                        if conn.eof:
+                            conn.closing = True  # drained body never arriving
+                        break
+                if conn.pending is not None:
+                    if len(conn.inbuf) < conn.need:
+                        if conn.eof:
+                            self._queue_error(
+                                conn, 400,
+                                "request body shorter than Content-Length",
+                                close=True)
+                        break
+                    body = bytes(conn.inbuf[:conn.need])
+                    del conn.inbuf[:conn.need]
+                    conn.scan_pos = 0
+                    method, target, headers, close_requested = conn.pending
+                    conn.pending = None
+                    self._dispatch_with_body(conn, method, target, headers,
+                                             close_requested, body)
+                    continue
+                if not self._parse_head(conn):
                     break
-            if conn.pending is not None:
-                if len(conn.inbuf) < conn.need:
-                    if conn.eof:
-                        self._queue_error(
-                            conn, 400,
-                            "request body shorter than Content-Length",
-                            close=True)
-                    break
-                body = bytes(conn.inbuf[:conn.need])
-                del conn.inbuf[:conn.need]
-                conn.scan_pos = 0
-                method, target, headers, close_requested = conn.pending
-                conn.pending = None
-                self._dispatch_with_body(conn, method, target, headers,
-                                         close_requested, body)
-                continue
-            if not self._parse_head(conn):
-                break
-        self._flush(conn)
+            paused = conn.queued >= _OUT_HIGH_WATER
+            self._flush(conn)
+            if not (paused and conn.sock is not None and not conn.out):
+                return
 
     def _parse_head(self, conn: _Connection) -> bool:
-        """Parse one request head if fully buffered.
+        """Parse and dispatch one request head if fully buffered.
 
         Returns ``True`` when a request was consumed (the caller loops
         for pipelining), ``False`` when more bytes are needed — after
         queueing whatever protocol-error answer applies.
         """
-        buf = conn.inbuf
-        nl = buf.find(b"\n")
-        if nl < 0:
-            if len(buf) > _MAX_REQUEST_LINE:
-                self._queue_bare_error(conn, 414, "Request-URI Too Long")
-            elif conn.eof:
-                if buf.strip():
-                    self._queue_bare_error(conn, 400, "Bad request syntax")
-                else:
-                    conn.closing = True  # clean half-close between requests
-            return False
-        line = bytes(buf[:nl]).rstrip(b"\r")
-        parts = line.split()
-        if len(parts) == 2:
-            # An HTTP/0.9 simple request: serve the bare body (no status
-            # line, no headers) and close — stdlib parity.
-            del buf[:nl + 1]
-            conn.scan_pos = 0
-            if parts[0] == b"GET":
-                self._dispatch_simple(conn, parts[1].decode("latin-1"))
+        try:
+            head, conn.scan_pos = http1.parse_request_head(
+                conn.inbuf, conn.eof, conn.scan_pos)
+        except http1.HeadError as error:
+            if error.bare:
+                self._queue_bare_error(conn, error.status, error.message)
             else:
-                self._queue_bare_error(conn, 400, "Bad HTTP/0.9 request type")
-            return False
-        if len(parts) != 3:
-            del buf[:nl + 1]
-            conn.scan_pos = 0
-            self._queue_bare_error(conn, 400, "Bad request syntax")
-            return False
-        version = parts[2]
-        version_ok = False
-        if version.startswith(b"HTTP/"):
-            fields = version[5:].split(b".")
-            if len(fields) == 2 and fields[0].isdigit() and fields[1].isdigit():
-                version_ok = True
-                vnum = (int(fields[0]), int(fields[1]))
-        if not version_ok:
-            del buf[:nl + 1]
-            conn.scan_pos = 0
-            self._queue_bare_error(conn, 400,
-                                   f"Bad request version {version!r}")
-            return False
-        if vnum >= (2, 0):
-            del buf[:nl + 1]
-            conn.scan_pos = 0
-            self._queue_bare_error(
-                conn, 505, f"Invalid HTTP version ({vnum[0]}.{vnum[1]})")
-            return False
-        # HTTP/1.x: the full head (terminated by a blank line) must be
-        # buffered before anything dispatches.
-        head_end = self._find_head_end(conn, nl + 1)
-        if head_end < 0:
-            if len(buf) > _MAX_HEAD_BYTES:
-                self._queue_error(conn, 431,
-                                  "request header section too large",
+                self._queue_error(conn, error.status, error.message,
                                   close=True)
-            elif conn.eof:
-                self._queue_bare_error(conn, 400, "truncated request head")
             return False
-        headers: dict[str, str] = {}
-        for raw in bytes(buf[nl + 1:head_end]).split(b"\n"):
-            raw = raw.rstrip(b"\r")
-            if not raw:
-                continue
-            key, sep, value = raw.partition(b":")
-            if not sep:
-                continue
-            headers[key.decode("latin-1").strip().title()] = \
-                value.decode("latin-1").strip()
-        del buf[:head_end + 1]
-        conn.scan_pos = 0
-        method = parts[0].decode("latin-1")
-        target = parts[1].decode("latin-1")
-        if vnum < (1, 1):
-            keep = headers.get("Connection", "").lower() == "keep-alive"
-        else:
-            keep = "close" not in headers.get("Connection", "").lower()
-        self._dispatch_head(conn, method, target, headers,
-                            close_requested=not keep)
+        if head is None:
+            if conn.eof and not conn.inbuf.strip():
+                conn.closing = True  # clean half-close between requests
+            return False
+        if head.simple:
+            self._dispatch_simple(conn, head.target)
+            return False
+        self._dispatch_head(conn, head.method, head.target, head.headers,
+                            close_requested=head.close)
         return True
-
-    def _find_head_end(self, conn: _Connection, start: int) -> int:
-        """Index of the ``\\n`` ending the blank line after the headers.
-
-        Resumes from ``conn.scan_pos`` (always a line start) so repeated
-        partial fills stay linear in total bytes received.
-        """
-        buf = conn.inbuf
-        pos = max(start, conn.scan_pos)
-        while True:
-            nl = buf.find(b"\n", pos)
-            if nl < 0:
-                conn.scan_pos = pos
-                return -1
-            if buf[pos:nl].rstrip(b"\r") == b"":
-                return nl
-            pos = nl + 1
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch_head(self, conn: _Connection, method: str, target: str,
                        headers: dict[str, str],
                        close_requested: bool) -> None:
+        try:
+            length, must_close = http1.request_body(method, headers)
+        except http1.HeadError as error:
+            self._queue_error(conn, error.status, error.message, close=True)
+            return
         if method == "POST":
-            if headers.get("Transfer-Encoding"):
-                self._queue_error(
-                    conn, 400, "chunked transfer encoding is not supported; "
-                               "send Content-Length", close=True)
-                return
-            declared = headers.get("Content-Length")
-            if declared is None:
-                self._queue_error(conn, 411, "POST requires Content-Length",
-                                  close=True)
-                return
-            try:
-                length = int(declared)
-            except ValueError:
-                length = -1
-            if length < 0:
-                self._queue_error(conn, 400,
-                                  f"invalid Content-Length {declared!r}",
-                                  close=True)
-                return
-            if length > MAX_BODY_BYTES:
-                # Answer without reading a single body byte.
-                self._queue_error(
-                    conn, 413,
-                    f"request body exceeds {MAX_BODY_BYTES} bytes",
-                    close=True)
-                return
             conn.pending = (method, target, headers, close_requested)
             conn.need = length
             return
-        # Non-POST: drain any declared body so pipelining stays in sync
-        # (same rules as the threaded handler's _drain_request_body).
-        must_close = close_requested
-        if headers.get("Transfer-Encoding"):
-            must_close = True
-        else:
-            declared = headers.get("Content-Length")
-            if declared is not None:
-                try:
-                    length = int(declared)
-                except ValueError:
-                    length = -1
-                if length < 0:
-                    must_close = True
-                else:
-                    conn.discard = min(length, _MAX_DISCARDED_BODY)
-                    must_close = must_close or length > _MAX_DISCARDED_BODY
+        # Non-POST: drain any declared body so pipelining stays in sync.
+        conn.discard = length
+        must_close = must_close or close_requested
         if method in ("GET", "HEAD"):
             response = self._service_call(conn, "GET", target, headers,
                                           b"", command=method)
@@ -558,7 +477,7 @@ class EventLoopServer:
         response = self._service_call(conn, "GET", target, {}, b"",
                                       command="GET")
         if response is not None and response.body:
-            conn.out.append(self._fault_body(conn, response.body))
+            self._enqueue(conn, self._fault_body(conn, response.body))
         conn.closing = True
 
     def _service_call(self, conn: _Connection, method: str, target: str,
@@ -586,12 +505,10 @@ class EventLoopServer:
             tracing.deactivate(token)
 
     # -- response assembly -------------------------------------------------
-    def _date_bytes(self) -> bytes:
-        now = int(time.time())
-        if self._date_cache[0] != now:
-            self._date_cache = (
-                now, formatdate(now, usegmt=True).encode("latin-1"))
-        return self._date_cache[1]
+    @staticmethod
+    def _enqueue(conn: _Connection, chunk: Any) -> None:
+        conn.out.append(chunk)
+        conn.queued += len(chunk)
 
     def _fault_body(self, conn: _Connection, body) -> Any:
         """Apply the ``api.response.write`` injection point to ``body``.
@@ -616,22 +533,16 @@ class EventLoopServer:
     def _queue_response(self, conn: _Connection, response: Response,
                         send_body: bool, close: bool) -> None:
         status = response.status
-        reason = _REASONS.get(status, "")
-        head = [f"HTTP/1.1 {status} {reason}\r\n".encode("latin-1"),
-                b"Server: repro-serve/1.1\r\nDate: ", self._date_bytes(),
-                b"\r\n"]
-        for name, value in response.headers.items():
-            head.append(f"{name}: {value}\r\n".encode("latin-1"))
-        head.append(b"Content-Length: %d\r\n" % len(response.body))
-        if close:
-            head.append(b"Connection: close\r\n")
-        head.append(b"\r\n")
-        conn.out.append(b"".join(head))
+        fields = [f"{name}: {value}\r\n"
+                  for name, value in response.headers.items()]
+        fields.append(f"Content-Length: {len(response.body)}\r\n")
+        self._enqueue(conn, http1.response_head(
+            status, "".join(fields).encode("latin-1"), close))
         if (send_body and response.body and status >= 200
                 and status not in (204, 205, 304)):
             # The body rides as its own iovec: a shared-cache memoryview
             # goes to sendmsg untouched (zero-copy), bytes likewise.
-            conn.out.append(self._fault_body(conn, response.body))
+            self._enqueue(conn, self._fault_body(conn, response.body))
         if close:
             conn.closing = True
 
@@ -656,7 +567,7 @@ class EventLoopServer:
         an unsupported version), the answer is the JSON envelope *body
         only* — no status line, no headers — and the connection closes.
         """
-        conn.out.append(json_bytes(
+        self._enqueue(conn, json_bytes(
             {"error": {"status": status, "message": message}}))
         conn.closing = True
 
@@ -664,27 +575,31 @@ class EventLoopServer:
     def _flush(self, conn: _Connection) -> None:
         if conn.sock is None:
             return
-        while conn.out:
+        out = conn.out
+        while out:
             try:
-                sent = conn.sock.sendmsg(conn.out[:32])
+                sent = conn.sock.sendmsg(list(islice(out, 32)))
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
                 self._close_conn(conn)
                 return
-            while sent and conn.out:
-                first = conn.out[0]
-                size = len(first)
+            conn.queued -= sent
+            while sent:
+                size = len(out[0])
                 if sent >= size:
                     sent -= size
-                    conn.out.pop(0)
+                    out.popleft()
                 else:
+                    first = out[0]
                     view = first if isinstance(first, memoryview) \
                         else memoryview(first)
-                    conn.out[0] = view[sent:]
+                    out[0] = view[sent:]
                     sent = 0
-        if conn.out:
-            self._set_events(conn, _READ | _WRITE)
+        if out:
+            # Backpressure: read no more requests until the client has
+            # taken what is already queued for it.
+            self._set_events(conn, _WRITE)
             return
         self._set_events(conn, _READ)
         if conn.closing or (conn.eof and conn.pending is None

@@ -7,6 +7,7 @@ must be indistinguishable on the wire.
 """
 
 import datetime as dt
+import errno
 import json
 import socket
 import threading
@@ -15,6 +16,7 @@ import time
 import pytest
 
 from repro.providers.base import ListArchive, ListSnapshot
+from repro.service import eventloop
 from repro.service.api import QueryService
 from repro.service.eventloop import EventLoopServer
 from repro.service.shared_cache import SharedPayloadCache
@@ -150,6 +152,93 @@ class TestIdleConnectionCost:
             server.shutdown()
             server.server_close()
             store.close()
+
+
+@pytest.fixture()
+def small_server(tmp_path):
+    snapshots = [ListSnapshot("alexa", dt.date(2018, 5, 1), ("a.com",))]
+    store = ArchiveStore.from_archives(
+        tmp_path / "s", {"alexa": ListArchive.from_snapshots(snapshots)})
+    server = EventLoopServer(QueryService(store))
+    yield server
+    server.shutdown()
+    server.server_close()
+    store.close()
+
+
+class TestResourceBounds:
+    def test_non_reading_pipeliner_is_bounded_then_served_in_order(
+            self, small_server):
+        _serve(small_server)
+        count = 10_000
+        client = socket.socket()
+        client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        client.settimeout(30)
+        client.connect(("127.0.0.1", small_server.server_address[1]))
+        deadline = time.monotonic() + 10
+        while not small_server._conns and time.monotonic() < deadline:
+            time.sleep(0.01)
+        (conn,) = small_server._conns.values()
+        # Small kernel buffers on both ends, so the queue is the server's.
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        requests = b"".join(
+            f"GET /v1/meta HTTP/1.1\r\nHost: x\r\nX-Request-Id: r{i}\r\n"
+            f"\r\n".encode() for i in range(count))
+        sender = threading.Thread(target=client.sendall, args=(requests,),
+                                  daemon=True)
+        sender.start()
+        peak = 0
+        until = time.monotonic() + 1.0
+        while time.monotonic() < until:  # the client reads nothing yet
+            peak = max(peak, conn.queued)
+            time.sleep(0.005)
+        assert 0 < peak <= eventloop._OUT_HIGH_WATER + 64 * 1024
+        rfile = client.makefile("rb")
+        try:
+            for i in range(count):
+                assert rfile.readline().startswith(b"HTTP/1.1 200 "), i
+                length = ident = None
+                while True:
+                    line = rfile.readline()
+                    if line == b"\r\n":
+                        break
+                    name, _, value = line.decode().partition(":")
+                    if name == "Content-Length":
+                        length = int(value)
+                    elif name == "X-Request-Id":
+                        ident = value.strip()
+                assert ident == f"r{i}"
+                assert len(rfile.read(length)) == length
+        finally:
+            rfile.close()
+            client.close()
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+
+    def test_exhausted_accept_does_not_spin(self, small_server, monkeypatch):
+        calls = 0
+        exhausted = True
+        real_accept = socket.socket.accept
+
+        def accept(sock):
+            nonlocal calls
+            if sock is small_server._listen:
+                calls += 1
+                if exhausted:
+                    raise OSError(errno.EMFILE, "Too many open files")
+            return real_accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        threading.Thread(target=small_server.serve_forever,
+                         kwargs={"poll_interval": 0.1}, daemon=True).start()
+        with socket.create_connection(
+                ("127.0.0.1", small_server.server_address[1]),
+                timeout=10) as client:
+            time.sleep(0.5)
+            assert 1 <= calls <= 10  # one per idle sweep, not a spin
+            exhausted = False
+            client.sendall(b"GET /v1/meta HTTP/1.1\r\nHost: x\r\n\r\n")
+            assert client.recv(12) == b"HTTP/1.1 200"
 
 
 class TestZeroCopySharedPayloads:
