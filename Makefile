@@ -65,19 +65,15 @@ bench-obs:
 
 ## Pre-fork worker-pool benchmark (4 read workers vs single process,
 ## per-request + keep-alive client modes, byte-identity at every store
-## version, >=5x cached-throughput assert, plus threaded-vs-event-loop
-## readers at 512 keep-alive connections with a >=1.5x event-loop
-## assert) → BENCH_workers.json.
+## version, >=5x cached-throughput assert) → BENCH_workers.json.
 bench-workers:
 	$(PYTHON) benchmarks/run_benchmarks.py --workers 4
 
 ## The CI scale-out smoke: 4-worker pool + follower behind
 ## repro-serve balance; mixed load, worker SIGKILL, follower
-## ejection/re-admission, aggregated-metrics checks — run with both
-## reader transports (threaded, then --event-loop).
+## ejection/re-admission, aggregated-metrics checks.
 smoke-scaleout:
 	$(PYTHON) scripts/scaleout_smoke.py
-	$(PYTHON) scripts/scaleout_smoke.py --event-loop
 
 ## Scale-preset benchmarks (paper_bench + full_1m synthetic corpora):
 ## ingest/query/battery timings with hard time and memory-budget asserts

@@ -25,7 +25,6 @@ Exits non-zero (AssertionError) on any violation.  Stdlib + repro only.
 
 from __future__ import annotations
 
-import argparse
 import datetime as dt
 import json
 import os
@@ -119,13 +118,6 @@ def _load(base: str, n: int) -> list[int]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--event-loop", action="store_true",
-        help="run the pool's read workers on the selectors/epoll event "
-             "loop instead of one thread per connection")
-    args = parser.parse_args()
-    mode = "event-loop" if args.event_loop else "threaded"
     print("building the fixture corpus ...")
     run = run_simulation(SimulationConfig.small(alexa_change_day=9))
     with tempfile.TemporaryDirectory() as tmp:
@@ -133,9 +125,8 @@ def main() -> None:
         ArchiveStore.from_archives(store_dir, run.archives).close()
         follower_dir = Path(tmp) / "follower"
 
-        print(f"booting the {WORKERS}-worker pool ({mode} readers) ...")
-        with WorkerPool(store_dir, workers=WORKERS, poll_interval=0.05,
-                        event_loop=args.event_loop) as pool:
+        print(f"booting the {WORKERS}-worker pool ...")
+        with WorkerPool(store_dir, workers=WORKERS, poll_interval=0.05) as pool:
             pool_url = f"http://127.0.0.1:{pool.port}"
             print(f"booting the follower (tailing {pool_url}) ...")
             follower_port = pool.port + 71
@@ -217,7 +208,7 @@ def main() -> None:
             finally:
                 follower.kill()
                 follower.wait(timeout=10)
-    print(f"scale-out smoke ({mode} readers): all phases passed "
+    print(f"scale-out smoke: all phases passed "
           f"({len(statuses)} balanced requests, zero non-503 errors)")
 
 

@@ -15,6 +15,11 @@ answer queries without rebuilding the world per request:
 * :mod:`repro.service.api` — :class:`QueryService`, the deterministic
   JSON query layer behind the ``repro-serve`` HTTP endpoints, with an
   LRU result cache keyed on the store version and ETag revalidation.
+* :mod:`repro.service.eventloop` — :class:`EventLoopServer`, the one
+  HTTP server for the ``/v1`` API: a selectors/epoll loop where an idle
+  keep-alive connection costs one file descriptor.  Every ``serve``
+  role runs it — leader, follower, and the pool's readers, writer and
+  control port.
 * :mod:`repro.service.replica` — :class:`Replica`, a follower that
   tails a leader's mutation log over ``GET /v1/replication/log`` and
   converges to byte-identical store files and payloads (retry/backoff
@@ -35,8 +40,9 @@ The command-line entry point lives in :mod:`repro.service.cli`
 (``repro-serve`` / ``python -m repro.service.cli``).
 """
 
-from repro.service.api import QueryService, Response, create_server
+from repro.service.api import QueryService, Response
 from repro.service.balance import Backend, Balancer
+from repro.service.eventloop import EventLoopServer
 from repro.service.index import DomainIndex, DomainLongevity
 from repro.service.replica import Replica, ReplicaError, StoreTailer, http_fetcher
 from repro.service.shared_cache import SharedPayloadCache
@@ -49,6 +55,7 @@ __all__ = [
     "Balancer",
     "DomainIndex",
     "DomainLongevity",
+    "EventLoopServer",
     "QueryService",
     "Replica",
     "ReplicaError",
@@ -56,6 +63,5 @@ __all__ = [
     "SharedPayloadCache",
     "StoreTailer",
     "WorkerPool",
-    "create_server",
     "http_fetcher",
 ]

@@ -38,9 +38,9 @@ and close it afterwards, so a stale socket can never blur the
 
 The proxy is a raw-bytes HTTP/1.1 relay with one thread per client
 connection.  Request heads are framed by :mod:`repro.service.http1`,
-the parser the event-loop workers use, so malformed, oversized, chunked
+the parser the API server uses, so malformed, oversized, chunked
 or unframed requests get the same answers from the proxy as from a
-worker, and are never forwarded.  That includes a header line with a
+backend, and are never forwarded.  That includes a header line with a
 control character or a CR inside it: a stdlib backend would split it
 into lines the proxy never saw.  Upstream, the proxy writes the request
 head itself: the hop-by-hop headers (``Connection``, ``Keep-Alive``,
@@ -271,6 +271,7 @@ class Balancer:
         """Probe every backend's ``/v1/ready`` once and adjust rotation."""
         for backend in self.backends:
             backend.probes += 1
+            ejections = backend.ejections
             try:
                 conn = http.client.HTTPConnection(
                     backend.host, backend.port, timeout=self.timeout)
@@ -287,7 +288,11 @@ class Balancer:
             backend.last_probe_error = error
             if ok:
                 backend.consecutive_failures = 0
-                self._readmit(backend)
+                # A proxied request that ejected the backend while this
+                # probe was in flight saw a later failure: the next
+                # probe decides.
+                if backend.ejections == ejections:
+                    self._readmit(backend)
             else:
                 backend.consecutive_failures += 1
                 if backend.consecutive_failures >= self.eject_after:
@@ -514,7 +519,7 @@ class Balancer:
                 body = b""
                 if head.method == "POST":
                     if head.expect_continue and len(buf) < length:
-                        sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+                        sock.sendall(http1.CONTINUE)
                     while len(buf) < length and not eof:
                         data = sock.recv(min(length - len(buf), 1 << 20))
                         if data:

@@ -6,7 +6,7 @@ Six subcommands::
                        [--no-report]
     repro-serve serve  --store DIR [--host H] [--port P] [--log-level L]
                        [--follow URL [--poll-interval S] [--max-staleness N]]
-                       [--workers N [--ready-file PATH]] [--event-loop]
+                       [--workers N [--ready-file PATH]]
     repro-serve balance --backend URL [--backend URL ...] [--host H]
                        [--port P] [--check-interval S] [--eject-after N]
     repro-serve ingest (--store DIR | --url URL) --provider P [--date D]
@@ -17,14 +17,12 @@ Six subcommands::
 ``init`` simulates a scenario profile, persists its three provider
 archives into an :class:`~repro.service.store.ArchiveStore` and stores
 the scenario's report document; ``serve`` boots the ``/v1`` JSON API on
-stdlib ``http.server`` — with ``--follow`` it serves a read-only
-*follower* that tails the named leader's replication log and reports its
-staleness on ``/v1/health`` — and with ``--workers N`` it pre-forks a
-pool of read-only worker processes plus one writer over a shared
-listening socket (:mod:`repro.service.workers`) — ``--event-loop``
-swaps the readers' thread-per-connection server for the selectors/epoll
-event loop (:mod:`repro.service.eventloop`), so idle keep-alive
-connections cost one fd each; ``balance``
+the selectors/epoll event loop (:mod:`repro.service.eventloop`) — with
+``--follow`` it serves a read-only *follower* that tails the named
+leader's replication log and reports its staleness on ``/v1/health`` —
+and with ``--workers N`` it pre-forks a pool of read-only worker
+processes plus one writer over a shared listening socket
+(:mod:`repro.service.workers`); ``balance``
 round-robins requests across serve/pool backends, ejecting any whose
 ``/v1/ready`` fails (:mod:`repro.service.balance`); ``ingest`` appends
 downloaded top-list CSVs
@@ -55,7 +53,8 @@ from repro.obs import logging as obslog
 from repro.scale import ScaleError, scale_names
 from repro.scenarios.profiles import get_profile, profile_names
 from repro.scenarios.runner import run_scenario
-from repro.service.api import QueryService, create_server
+from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore, StoreError
 
 def _resolve_profile(name: str, tiny: bool, scale: Optional[str] = None):
@@ -120,7 +119,7 @@ def _serve_pool(args: argparse.Namespace) -> int:
         return 2
     pool = WorkerPool(
         Path(args.store), workers=args.workers, host=args.host,
-        port=args.port, event_loop=args.event_loop,
+        port=args.port,
         ready_file=Path(args.ready_file) if args.ready_file else None)
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
@@ -129,9 +128,8 @@ def _serve_pool(args: argparse.Namespace) -> int:
     except (StoreError, OSError, TimeoutError, RuntimeError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    mode = "event-loop" if args.event_loop else "threaded"
     print(f"pool ready: http://{args.host}:{pool.port}/v1/meta "
-          f"({args.workers} {mode} readers; writer :{pool.writer_port}; "
+          f"({args.workers} readers; writer :{pool.writer_port}; "
           f"control :{pool.control_port})")
     try:
         while not stop.is_set():
@@ -209,12 +207,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         obslog.log_event("serve.follow", leader=follow,
                          poll_interval=args.poll_interval,
                          max_staleness=args.max_staleness)
-    if args.event_loop:
-        from repro.service.eventloop import EventLoopServer
-
-        server = EventLoopServer(service, host=args.host, port=args.port)
-    else:
-        server = create_server(service, host=args.host, port=args.port)
+    server = EventLoopServer(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     obslog.log_event("serve.start", store=str(args.store),
                      role=service.role, store_version=store.version,
@@ -466,10 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "one writer over a shared listening socket "
                             "(POSIX only; 0 = single process, the "
                             "default; incompatible with --follow)")
+    # Accepted and ignored, so scripts that still pass the former
+    # opt-in keep working.
     serve.add_argument("--event-loop", action="store_true",
-                       help="serve reads from a selectors/epoll event loop "
-                            "(one fd per idle connection instead of a "
-                            "thread; with --workers, readers only)")
+                       help=argparse.SUPPRESS)
     serve.add_argument("--ready-file", default=None, metavar="PATH",
                        help="write a JSON description of the pool's "
                             "ports and pids once every worker is ready "

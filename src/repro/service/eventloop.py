@@ -1,30 +1,28 @@
-"""``selectors``/epoll event-loop HTTP server for read workers.
+"""``selectors``/epoll event-loop HTTP server: the ``/v1`` API's transport.
 
-The threaded server (:func:`repro.service.api.create_server`) costs one
-thread per live connection.  That is the right trade for a handful of
-clients, but a pool front-ending thousands of *mostly idle* keep-alive
-connections (monitoring agents, balancer back-links, long-polling
-clients) pays a thread stack and a scheduler entry for every socket
-that is doing nothing.  This module serves the same
-:class:`~repro.service.api.QueryService` contract from a single
-non-blocking event loop: an idle connection costs one registered file
-descriptor and a ~200-byte state object, nothing else.
+:class:`EventLoopServer` serves a :class:`~repro.service.api.QueryService`
+(or any object with the same ``handle_request``) from a single
+non-blocking event loop.  It is the only API server: single-process
+``repro-serve serve`` (leader and ``--follow``), and in the pre-fork
+pool (:mod:`repro.service.workers`) every reader, the writer and the
+parent's control port.  An idle keep-alive connection costs one
+registered file descriptor and a ~200-byte state object, not a thread.
 
-Wire semantics are the *same contract* the threaded layer locks down in
-``tests/test_service_keepalive.py`` and ``tests/test_service_fuzz.py``
-(the event-loop parity suites re-run those classes against this
-server):
+The wire contract is locked down in ``tests/test_service_keepalive.py``
+and ``tests/test_service_fuzz.py``:
 
 * clean client errors (404/400/405-without-body) answer inside the
   persistent connection; protocol failures (chunked, missing/oversized/
   short ``Content-Length``) answer with ``Connection: close``;
 * malformed request lines and unsupported HTTP versions answer bare
-  JSON envelopes exactly like the stdlib's HTTP/0.9 degradation;
+  JSON envelopes (the stdlib's HTTP/0.9 degradation);
 * a drained body keeps pipelined keep-alive connections in sync, with
-  the same 1 MiB discard bound;
-* ``unhandled_errors`` is the same tripwire, and the fault-injection
-  points (``api.request.read``, ``api.response.write``) fire the same
-  way.
+  a 1 MiB discard bound;
+* an HTTP/1.1 ``Expect: 100-continue`` POST whose body has not arrived
+  gets ``100 Continue`` first;
+* ``unhandled_errors`` is the tripwire for anything that escapes
+  request handling, and the fault-injection points
+  (``api.request.read``, ``api.response.write``) fire here.
 
 Request heads are framed by :mod:`repro.service.http1`, the parser the
 ``balance`` relay shares.  Every connection's resources are bounded: a
@@ -42,11 +40,12 @@ gather ``writev``) — the payload bytes go from the page cache to the
 socket without ever being copied into a Python ``bytes`` object.
 
 Dispatch is inline: route handlers run on the loop thread.  Cached
-reads cost microseconds, so this is the latency-optimal choice; the
-one blocking call a *reader* can make — forwarding ``POST /v1/ingest``
-to the pool's writer — briefly parks the loop, which is acceptable
-because ingests are rare and bounded (and the writer worker stays
-threaded).
+reads cost microseconds, so this is the latency-optimal choice.  The
+calls that block — an ingest on a leader or the pool's writer, a
+pool reader forwarding ``POST /v1/ingest`` to the writer, the control
+port scraping the workers — park the loop while they run.  Threads
+would not help there: an ingest holds the service lock every read
+route takes.
 """
 
 from __future__ import annotations
@@ -115,44 +114,30 @@ class _Connection:
         self.last_activity = now
 
 
-class _HandlerShim:
-    """Duck-typed stand-in for the threaded server's handler class.
-
-    The wire-contract suites poke ``server.RequestHandlerClass`` for two
-    things — the bound ``service`` (to monkeypatch routes) and
-    ``disable_nagle_algorithm`` — so the event-loop server exposes the
-    same surface and reads ``service`` through it on every dispatch,
-    keeping monkeypatches effective.
-    """
-
-    disable_nagle_algorithm = True
-
-    def __init__(self, service: QueryService) -> None:
-        self.service = service
-
-
 class EventLoopServer:
     """Single-threaded non-blocking HTTP server over ``selectors``.
 
-    API mirrors the threaded server where the pool and tests touch it:
-    ``server_address``, ``serve_forever()``/``shutdown()``/
-    ``server_close()``, ``unhandled_errors``, ``RequestHandlerClass``.
-    Construct with either ``host``/``port`` or an already-listening
-    ``listen_socket`` (the pre-fork pool's shared socket).
+    ``port=0`` picks a free port (``server.server_address[1]``); call
+    ``serve_forever()`` to run, ``shutdown()`` to stop and
+    ``server_close()`` to release the sockets.  Construct with either
+    ``host``/``port`` or an already-listening ``listen_socket`` (the
+    pre-fork pool's shared socket, which the server never closes).
+    ``service`` is a plain attribute: every request dispatches through
+    ``server.service.handle_request``.
 
     ``crash_exit_code``: when set, an injected crash
     (:class:`repro.faults.InjectedCrash`) terminates the process with
     this exit code — the pool's crash-to-exit contract.
     """
 
-    #: Idle keep-alive connections are reaped after this many seconds
-    #: (same bound as the threaded handler's socket timeout).
+    #: Idle keep-alive connections are reaped after this many seconds,
+    #: so a stalled client cannot pin a descriptor forever.
     timeout = 30.0
 
     def __init__(self, service: QueryService, host: str = "127.0.0.1",
                  port: int = 0, listen_socket: Optional[socket.socket] = None,
                  crash_exit_code: Optional[int] = None) -> None:
-        self.RequestHandlerClass = _HandlerShim(service)
+        self.service = service
         self.unhandled_errors: RingLog = RingLog(UNHANDLED_ERRORS_CAPACITY)
         self.crash_exit_code = crash_exit_code
         if listen_socket is None:
@@ -177,14 +162,9 @@ class EventLoopServer:
         self._accept_parked = False
         self._closed = False
 
-    @property
-    def service(self) -> QueryService:
-        return self.RequestHandlerClass.service
-
     # -- lifecycle --------------------------------------------------------
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._loop_thread = threading.current_thread()
-        self._shutdown_request = False
         self._stopped.clear()
         self._accept_parked = False
         sel = self._selector
@@ -213,6 +193,9 @@ class EventLoopServer:
                     sel.unregister(fd)
                 except (KeyError, ValueError):
                     pass
+            # Reset here, not on entry: a shutdown() that lands before
+            # the loop starts still stops it.
+            self._shutdown_request = False
             self._stopped.set()
 
     def shutdown(self) -> None:
@@ -411,33 +394,32 @@ class EventLoopServer:
         if head.simple:
             self._dispatch_simple(conn, head.target)
             return False
-        self._dispatch_head(conn, head.method, head.target, head.headers,
-                            close_requested=head.close)
+        self._dispatch_head(conn, head)
         return True
 
     # -- dispatch ----------------------------------------------------------
-    def _dispatch_head(self, conn: _Connection, method: str, target: str,
-                       headers: dict[str, str],
-                       close_requested: bool) -> None:
+    def _dispatch_head(self, conn: _Connection,
+                       head: http1.RequestHead) -> None:
+        method, target, headers = head.method, head.target, head.headers
         try:
             length, must_close = http1.request_body(method, headers)
         except http1.HeadError as error:
             self._queue_error(conn, error.status, error.message, close=True)
             return
         if method == "POST":
-            conn.pending = (method, target, headers, close_requested)
+            conn.pending = (method, target, headers, head.close)
             conn.need = length
+            if head.expect_continue and len(conn.inbuf) < length:
+                self._enqueue(conn, http1.CONTINUE)
             return
         # Non-POST: drain any declared body so pipelining stays in sync.
         conn.discard = length
-        must_close = must_close or close_requested
+        must_close = must_close or head.close
         if method in ("GET", "HEAD"):
-            response = self._service_call(conn, "GET", target, headers,
-                                          b"", command=method)
-            if response is not None:
-                self._queue_response(conn, response,
-                                     send_body=method != "HEAD",
-                                     close=must_close)
+            response = self._service_call("GET", target, headers, b"",
+                                          command=method)
+            self._queue_response(conn, response, send_body=method != "HEAD",
+                                 close=must_close)
         elif method in _WRITEISH_METHODS:
             allow = allowed_methods(urlsplit(target).path)
             self._queue_error(
@@ -452,9 +434,9 @@ class EventLoopServer:
                             target: str, headers: dict[str, str],
                             close_requested: bool, body: bytes) -> None:
         if faults.ACTIVE is not None:
-            # Injection point "api.request.read": same semantics as the
-            # threaded handler — a drop is the client vanishing
-            # mid-upload, an error rule a socket-level read failure.
+            # Injection point "api.request.read": a drop is the client
+            # vanishing mid-upload, an error rule a socket-level read
+            # failure.
             try:
                 faults.ACTIVE.hit("api.request.read")
             except ConnectionResetError:
@@ -466,24 +448,33 @@ class EventLoopServer:
                 self._queue_error(conn, 500, "internal server error",
                                   close=True)
                 return
-        response = self._service_call(conn, method, target, headers, body,
+        response = self._service_call(method, target, headers, body,
                                       command=method)
-        if response is not None:
-            self._queue_response(conn, response, send_body=True,
-                                 close=close_requested)
+        self._queue_response(conn, response, send_body=True,
+                             close=close_requested)
 
     def _dispatch_simple(self, conn: _Connection, target: str) -> None:
         """HTTP/0.9: body only, then close (stdlib degradation parity)."""
-        response = self._service_call(conn, "GET", target, {}, b"",
-                                      command="GET")
-        if response is not None and response.body:
+        response = self._service_call("GET", target, {}, b"", command="GET")
+        if response.body:
             self._enqueue(conn, self._fault_body(conn, response.body))
         conn.closing = True
 
-    def _service_call(self, conn: _Connection, method: str, target: str,
+    def _service_call(self, method: str, target: str,
                       headers: dict[str, str], body: bytes,
-                      command: str) -> Optional[Response]:
-        """One traced service call (the threaded ``_service_call`` twin)."""
+                      command: str) -> Response:
+        """One traced service call: the wire layer's telemetry lives here.
+
+        A request either presents an ``X-Request-Id`` (propagated
+        verbatim — this is how a leader correlates a follower's fetches)
+        or gets a fresh id; the id is active (``repro.obs.tracing``)
+        for the duration of the call, echoed on the response, and
+        stamped into every structured log line the call emits.  A wire
+        request costs several times a cached in-process read, so
+        registry counters and a histogram observation are affordable
+        here — unlike in :meth:`QueryService.handle_request`, which
+        in-process callers hit at ~5 µs per cached read.
+        """
         trace_id = headers.get("X-Request-Id") or tracing.new_trace_id()
         start = time.perf_counter()
         token = tracing.activate(trace_id)
@@ -507,16 +498,19 @@ class EventLoopServer:
     # -- response assembly -------------------------------------------------
     @staticmethod
     def _enqueue(conn: _Connection, chunk: Any) -> None:
-        conn.out.append(chunk)
-        conn.queued += len(chunk)
+        # An empty chunk would never leave the queue: ``sendmsg`` of
+        # nothing returns 0, and ``_flush`` would spin on it forever.
+        if chunk:
+            conn.out.append(chunk)
+            conn.queued += len(chunk)
 
     def _fault_body(self, conn: _Connection, body) -> Any:
         """Apply the ``api.response.write`` injection point to ``body``.
 
         A ``torn`` rule truncates the body (the declared Content-Length
         stays full, so the client observes a torn response) and closes;
-        a ``drop`` ships nothing and closes — matching the threaded
-        server's ``torn_write`` mapping to a mid-body connection loss.
+        a ``drop`` ships nothing and closes: from the client's side,
+        the connection died mid-body.
         """
         if faults.ACTIVE is None:
             return body
@@ -549,7 +543,7 @@ class EventLoopServer:
     def _queue_error(self, conn: _Connection, status: int, message: str,
                      close: bool = False,
                      allow: Optional[str] = None) -> None:
-        """The threaded ``_send_json_error`` twin: framed JSON envelope."""
+        """A transport-level error in the same envelope the API uses."""
         _M_ERRORS.labels(code=str(status)).inc()
         body = json_bytes({"error": {"status": status, "message": message}})
         headers = {"Content-Type": "application/json; charset=utf-8"}

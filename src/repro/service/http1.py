@@ -1,6 +1,6 @@
 """HTTP/1.1 request framing and response heads, as bytes.
 
-The serving stack's one request-head parser.  The epoll read workers
+The serving stack's one request-head parser.  The API server
 (:mod:`repro.service.eventloop`) and the ``balance`` relay
 (:mod:`repro.service.balance`) both frame requests with
 :func:`parse_request_head` and :func:`request_body`, so the same
@@ -24,7 +24,9 @@ malformed input gets the same answer from either front end:
   :data:`MAX_DISCARDED_BODY` bytes) so pipelined requests stay in sync.
 
 Both front ends also write their response heads with
-:func:`response_head`: one ``Server`` and one cached ``Date``.
+:func:`response_head` (one ``Server`` and one cached ``Date``), and
+both answer an ``Expect: 100-continue`` POST whose body is not yet
+buffered with :data:`CONTINUE`.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from typing import NamedTuple, Optional
 
 from repro.service.api import MAX_BODY_BYTES, json_bytes
 
-__all__ = ["HeadError", "MAX_DISCARDED_BODY", "MAX_HEAD_BYTES",
-           "MAX_REQUEST_LINE", "RequestHead", "envelope", "error_reply",
-           "json_fields", "parse_request_head", "request_body",
-           "response_head", "split_fields"]
+__all__ = ["CONTINUE", "HeadError", "MAX_DISCARDED_BODY",
+           "MAX_HEAD_BYTES", "MAX_REQUEST_LINE", "RequestHead", "envelope",
+           "error_reply", "json_fields", "parse_request_head",
+           "request_body", "response_head", "split_fields"]
 
 #: Longest tolerated request line (stdlib parity: 65536 + fudge).
 MAX_REQUEST_LINE = 65536
@@ -49,9 +51,12 @@ MAX_REQUEST_LINE = 65536
 #: Total request-head bound (line + headers) before 431.
 MAX_HEAD_BYTES = 1 << 20
 
-#: Upper bound on a drained non-POST body (same constant as the
-#: threaded handler's ``_MAX_DISCARDED_BODY``).
+#: Upper bound on a drained non-POST body.
 MAX_DISCARDED_BODY = 1 << 20
+
+#: The interim answer to ``Expect: 100-continue`` when the body has not
+#: arrived yet (without it curl waits 1 s before sending any body).
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 #: Control characters refused in a request line (``http.client`` will
 #: not send a target containing them).  HTAB separates like a space.

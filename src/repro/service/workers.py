@@ -1,17 +1,16 @@
 """Pre-fork worker pool: N read processes, one writer, one store.
 
-A single :class:`~repro.service.api.ApiHTTPServer` is a threaded server
-under the GIL: every request — routing, canonical-JSON encoding,
-SHA-256 ETags — competes for one interpreter lock, so a busy read
-workload saturates one core no matter how many threads accept.  This
-module scales the same service across *processes* the classic pre-fork
-way:
+A single :class:`~repro.service.eventloop.EventLoopServer` runs every
+request — routing, canonical-JSON encoding, SHA-256 ETags — on one
+interpreter, so a busy read workload saturates one core.  This module
+scales the same service across *processes* the classic pre-fork way:
 
 * The **parent** binds the public listening socket once, then forks
-  ``workers`` read-only children.  Each child builds its server around
-  the inherited file descriptor (``create_server(listen_socket=...)``)
-  and runs an ordinary accept loop; the kernel load-balances incoming
-  connections across the children's concurrent ``accept(2)`` calls.
+  ``workers`` read-only children.  Each child builds an
+  :class:`~repro.service.eventloop.EventLoopServer` around the
+  inherited file descriptor (``listen_socket=...``); the kernel
+  load-balances incoming connections across the children's
+  concurrent ``accept(2)`` calls.
 * One designated **writer** process owns the read-write
   :class:`~repro.service.store.ArchiveStore` and with it ``POST
   /v1/ingest``.  It listens on a private port; read workers answer
@@ -54,57 +53,36 @@ import socket
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from repro import faults
 from repro.obs import logging as obslog
 from repro.obs.metrics import aggregate_expositions
-from repro.service.api import ApiHTTPServer, QueryService, create_server
+from repro.service.api import QueryService, Response
+from repro.service.eventloop import EventLoopServer
 from repro.service.replica import StoreTailer
 from repro.service.shared_cache import DEFAULT_MAX_BYTES, SharedPayloadCache
 from repro.service.store import ArchiveStore
 
 __all__ = [
     "CRASH_EXIT_CODE",
-    "CrashExitServer",
     "WorkerPool",
     "WorkerSlot",
 ]
 
-#: Exit status a worker dies with when an injected crash fires inside a
-#: request thread.  Distinct from 0 (drain) and 1 (setup failure) so the
-#: supervisor's restart log — and the chaos tests — can tell a simulated
-#: process death from everything else.
+#: Exit status a worker dies with when an injected crash fires while it
+#: serves a request.  :class:`~repro.faults.InjectedCrash` means *the
+#: process died here*; the worker's server exits with this status (its
+#: torn store state stays on disk) and the supervisor respawns it
+#: through the real recovery path.  Distinct from 0 (drain) and 1
+#: (setup failure) so the supervisor's restart log — and the chaos
+#: tests — can tell a simulated process death from everything else.
 CRASH_EXIT_CODE = 70
 
 #: How long :meth:`WorkerPool.stop` waits for SIGTERM'd children before
 #: escalating to SIGKILL.
 DEFAULT_GRACE_SECONDS = 5.0
-
-
-class CrashExitServer(ApiHTTPServer):
-    """An :class:`ApiHTTPServer` where an injected crash kills the process.
-
-    :class:`~repro.faults.InjectedCrash` is a ``BaseException`` that
-    means *the process died here*.  In a single-process test harness it
-    unwinds to the test, which reopens the store.  In a forked worker
-    there is no harness above the accept loop — a crash escaping into a
-    daemon request thread would just kill that thread and leave a
-    half-dead worker serving.  This subclass completes the simulation:
-    the worker exits with :data:`CRASH_EXIT_CODE` (taking its torn store
-    state with it to disk), and the pool parent's supervisor respawns
-    it through the real recovery path.
-    """
-
-    def process_request_thread(self, request, client_address) -> None:
-        try:
-            super().process_request_thread(request, client_address)
-        except BaseException as error:  # noqa: BLE001 — crash passthrough
-            if faults.is_crash(error):
-                os._exit(CRASH_EXIT_CODE)
-            raise
 
 
 class WorkerSlot:
@@ -166,7 +144,6 @@ class WorkerPool:
                  control: bool = True,
                  ready_file: Optional[str | Path] = None,
                  worker_init: Optional[Callable[[str, int], None]] = None,
-                 event_loop: bool = False,
                  ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1 (got {workers})")
@@ -174,10 +151,6 @@ class WorkerPool:
             raise RuntimeError("WorkerPool requires os.fork (POSIX)")
         self.store_dir = Path(store_dir)
         self.workers = workers
-        #: Readers run the selectors event loop instead of a thread per
-        #: connection (the writer stays threaded — ingests are rare and
-        #: benefit from request threads).
-        self.event_loop = event_loop
         self.host = host
         self._requested_port = port
         self.cache_path = (Path(cache_path) if cache_path is not None
@@ -198,7 +171,8 @@ class WorkerPool:
         self._slot_lock = threading.Lock()
         self._stopping = threading.Event()
         self._supervisor: Optional[threading.Thread] = None
-        self._control_server: Optional[ThreadingHTTPServer] = None
+        self._control_sock: Optional[socket.socket] = None
+        self._control_server: Optional[EventLoopServer] = None
         self._control_thread: Optional[threading.Thread] = None
         self._started = False
 
@@ -293,6 +267,7 @@ class WorkerPool:
             if self._control_thread is not None:
                 self._control_thread.join(timeout=grace)
             self._control_server.server_close()
+            self._control_sock.close()
         for slot in self._slots:
             slot.sock.close()
         if self._listen_sock is not None:
@@ -372,8 +347,8 @@ class WorkerPool:
         for other in self._slots:
             if other is not slot:
                 other.sock.close()
-        if self._control_server is not None:  # respawn after control start
-            self._control_server.socket.close()
+        if self._control_sock is not None:  # respawn after control start
+            self._control_sock.close()
         if slot.role == "writer" and self._listen_sock is not None:
             self._listen_sock.close()
 
@@ -403,35 +378,21 @@ class WorkerPool:
             thread.start()
             threads.append(thread)
 
-        if slot.role == "reader" and self.event_loop:
-            from repro.service.eventloop import EventLoopServer
-
-            def make_server(listen_socket: socket.socket) -> Any:
-                return EventLoopServer(service, listen_socket=listen_socket,
-                                       crash_exit_code=CRASH_EXIT_CODE)
-        else:
-            def make_server(listen_socket: socket.socket) -> Any:
-                return create_server(service, listen_socket=listen_socket,
-                                     server_class=CrashExitServer)
-
-        servers = [make_server(slot.sock)]
+        sockets = [slot.sock]
         if slot.role == "reader":
-            servers.append(make_server(self._listen_sock))
+            sockets.append(self._listen_sock)
+        servers = [EventLoopServer(service, listen_socket=sock,
+                                   crash_exit_code=CRASH_EXIT_CODE)
+                   for sock in sockets]
 
-        def drain() -> None:
+        def on_term(signum: int, frame: object) -> None:
+            # Runs on this thread, whose loop is servers[0]: shutdown()
+            # from a loop's own thread only flags it, and the loop ends
+            # once the handler returns.  The process then leaves through
+            # one path, below and in _spawn.
             stop.set()
             for server in servers:
                 server.shutdown()
-            # In-flight requests run on daemon threads; give them a
-            # beat to flush their responses before the process goes.
-            time.sleep(0.1)
-            store.close()
-            os._exit(0)
-
-        def on_term(signum: int, frame: object) -> None:
-            # shutdown() blocks until serve_forever() exits — which is
-            # this very thread — so drain from a helper thread.
-            threading.Thread(target=drain, daemon=True).start()
 
         signal.signal(signal.SIGTERM, on_term)
         obslog.log_event("pool.worker_start", worker=slot.name,
@@ -443,6 +404,7 @@ class WorkerPool:
             thread.start()
             threads.append(thread)
         servers[0].serve_forever()
+        store.close()
 
     # -- parent-side observability ---------------------------------------
     def describe(self) -> dict[str, Any]:
@@ -454,7 +416,6 @@ class WorkerPool:
             "writer_port": self.writer_port,
             "control_port": self.control_port,
             "cache_path": str(self.cache_path),
-            "event_loop": self.event_loop,
             "poll_interval": self.poll_interval,
             "restarts": sum(w["restarts"] for w in workers),
             "workers": workers,
@@ -525,43 +486,37 @@ class WorkerPool:
 
     # -- control endpoint -------------------------------------------------
     def _start_control(self) -> None:
-        pool = self
-
-        class _ControlHandler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-            disable_nagle_algorithm = True
-
-            def _reply(self, status: int, body: bytes,
-                       content_type: str) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self) -> None:  # noqa: N802 (http.server API)
-                if self.path == "/v1/metrics":
-                    body = pool.metrics_text().encode("utf-8")
-                    self._reply(200, body,
-                                "text/plain; version=0.0.4; charset=utf-8")
-                elif self.path in ("/v1/pool", "/v1/health"):
-                    body = (json.dumps(pool.describe(), indent=2) + "\n"
-                            ).encode("utf-8")
-                    self._reply(200, body, "application/json")
-                else:
-                    body = (json.dumps({"error": {
-                        "status": 404, "message": "unknown control path",
-                        "paths": ["/v1/metrics", "/v1/pool"]}}) + "\n"
-                        ).encode("utf-8")
-                    self._reply(404, body, "application/json")
-
-            def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-                pass
-
-        server = ThreadingHTTPServer((self.host, 0), _ControlHandler)
-        server.daemon_threads = True
-        self._control_server = server
-        self.control_port = server.server_address[1]
+        self._control_sock = socket.create_server((self.host, 0),
+                                                  backlog=64)
+        self._control_server = EventLoopServer(
+            _Control(self), listen_socket=self._control_sock)
+        self.control_port = self._control_sock.getsockname()[1]
         self._control_thread = threading.Thread(
-            target=server.serve_forever, name="pool-control", daemon=True)
+            target=self._control_server.serve_forever, name="pool-control",
+            daemon=True)
         self._control_thread.start()
+
+
+class _Control:
+    """The control port's routes: the aggregated metrics and the pool's
+    description, answered like the API's ``QueryService.handle_request``
+    so an :class:`EventLoopServer` serves them."""
+
+    def __init__(self, pool: WorkerPool) -> None:
+        self.pool = pool
+
+    def handle_request(self, target: str,
+                       headers: Optional[Mapping[str, str]] = None,
+                       method: str = "GET", body: bytes = b"") -> Response:
+        if method == "GET" and target == "/v1/metrics":
+            return Response(200, self.pool.metrics_text().encode("utf-8"), {
+                "Content-Type": "text/plain; version=0.0.4; charset=utf-8"})
+        if method == "GET" and target in ("/v1/pool", "/v1/health"):
+            status, payload = 200, self.pool.describe()
+        else:
+            status, payload = 404, {"error": {
+                "status": 404, "message": "unknown control path",
+                "paths": ["/v1/metrics", "/v1/pool"]}}
+        return Response(status, (json.dumps(payload, indent=2) + "\n"
+                                 ).encode("utf-8"),
+                        {"Content-Type": "application/json"})

@@ -1,6 +1,6 @@
 """Bounded append log: a drop-oldest ring buffer that *is* a list.
 
-Diagnostic traces (`ApiHTTPServer.unhandled_errors`,
+Diagnostic traces (`EventLoopServer.unhandled_errors`,
 `QueryService.internal_errors`, `FaultPlan.fired`) started life as
 plain lists.  That is the right reading interface — tests assert
 equality against them, slice them, and check truthiness — but a plain

@@ -13,6 +13,7 @@ import io
 import json
 import threading
 import time
+import urllib.error
 import urllib.request
 
 import pytest
@@ -22,7 +23,8 @@ from repro.obs import logging as obslog
 from repro.obs import metrics, tracing
 from repro.obs.metrics import MetricsRegistry, parse_exposition
 from repro.providers.base import ListArchive, ListSnapshot
-from repro.service.api import QueryService, create_server
+from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.replica import _log_request
 from repro.service.store import ArchiveStore
 
@@ -398,30 +400,40 @@ class TestErrorCounters:
         assert self._delta(before, after,
                            'repro_http_errors_total{code="503"}') == 1
 
-    def test_unhandled_handler_errors_counted(self, tmp_path):
+    def test_unhandled_handler_errors_counted(self, tmp_path, monkeypatch):
         service = _small_service(tmp_path)
-        server = create_server(service)
+        server = EventLoopServer(service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/meta"
+
+        def escaping(error):
+            def handle_request(*args, **kwargs):
+                raise error
+            return handle_request
+
         try:
             before = parse_exposition(metrics.render().decode("utf-8"))
-            try:
-                raise RuntimeError("escaped the handler")
-            except RuntimeError:
-                server.handle_error(None, ("127.0.0.1", 9))
+            escape = RuntimeError("escaped the handler")
+            monkeypatch.setattr(service, "handle_request", escaping(escape))
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(url, timeout=10)
+            assert excinfo.value.code == 500
             after = parse_exposition(metrics.render().decode("utf-8"))
-            assert len(server.unhandled_errors) == 1
+            assert list(server.unhandled_errors) == [escape]
             assert self._delta(before, after,
                                "repro_http_unhandled_errors_total") == 1
             # Client disconnects are not failures: neither recorded nor
             # counted.
-            try:
-                raise ConnectionResetError("client went away")
-            except ConnectionResetError:
-                server.handle_error(None, ("127.0.0.1", 9))
+            monkeypatch.setattr(service, "handle_request", escaping(
+                ConnectionResetError("client went away")))
+            with pytest.raises(OSError):
+                urllib.request.urlopen(url, timeout=10)
             final = parse_exposition(metrics.render().decode("utf-8"))
-            assert len(server.unhandled_errors) == 1
+            assert list(server.unhandled_errors) == [escape]
             assert self._delta(after, final,
                                "repro_http_unhandled_errors_total") == 0
         finally:
+            server.shutdown()
             server.server_close()
 
 
@@ -429,7 +441,7 @@ class TestWireTracing:
     @pytest.fixture()
     def wire(self, tmp_path):
         service = _small_service(tmp_path)
-        server = create_server(service)
+        server = EventLoopServer(service)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

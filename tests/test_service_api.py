@@ -31,7 +31,8 @@ from repro.providers.base import ListArchive, ListSnapshot
 from repro.scenarios.golden import load_golden
 from repro.scenarios.profiles import profile_names
 from repro.scenarios.runner import ScenarioReport, canonical_float, run_scenario
-from repro.service.api import QueryService, create_server, json_bytes
+from repro.service.api import QueryService, json_bytes
+from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -535,7 +536,7 @@ class TestProtocol:
         assert body["error"]["status"] == 404
 
     def test_http_server_serves_identical_bytes(self, service):
-        server = create_server(service)
+        server = EventLoopServer(service)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -562,7 +563,7 @@ class TestProtocol:
         # The API is read-only: POST/PUT/DELETE must answer 405 with an
         # Allow header (not http.server's default 501), and the body must
         # be the usual JSON error envelope.
-        server = create_server(service)
+        server = EventLoopServer(service)
         port = server.server_address[1]
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()

@@ -26,7 +26,7 @@ from perfbench import inputs as perfbench_inputs
 from repro.obs.metrics import parse_exposition
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service import cli
-from repro.service.api import QueryService, create_server
+from repro.service.api import QueryService
 from repro.service.balance import MAX_IDLE_PER_BACKEND, Backend, Balancer
 from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
@@ -58,7 +58,7 @@ def backends(tmp_path):
         tmp_path / "store",
         {"alexa": ListArchive.from_snapshots(snapshots)})
     service = QueryService(store)
-    servers = [create_server(service) for _ in range(2)]
+    servers = [EventLoopServer(service) for _ in range(2)]
     for server in servers:
         threading.Thread(target=server.serve_forever, daemon=True).start()
     yield servers, service
@@ -174,6 +174,46 @@ class TestEjection:
         finally:
             service.role = "leader"
             service._replica = None
+
+    def test_probe_in_flight_at_ejection_does_not_readmit(self):
+        """A request that ejects a backend while a probe of it is in
+        flight saw the later state; that probe must not re-admit it."""
+        entered, release = threading.Event(), threading.Event()
+
+        class SlowReady(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def log_message(self, format, *args):  # noqa: A002
+                pass
+
+            def do_GET(self):  # noqa: N802
+                entered.set()
+                release.wait(10)
+                self.send_response(200)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), SlowReady)
+        server.daemon_threads = True
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}"
+            balancer = Balancer([url])
+            backend = balancer.backends[0]
+            probe = threading.Thread(target=balancer.check_once)
+            probe.start()
+            assert entered.wait(10)
+            balancer._eject(backend, "connection failure mid-request")
+            release.set()
+            probe.join(10)
+            assert not probe.is_alive()
+            assert not backend.admitted
+            balancer.check_once()  # a probe sent after the ejection
+            assert backend.admitted
+        finally:
+            release.set()
+            server.shutdown()
+            server.server_close()
 
     def test_one_failed_probe_never_ejects_at_default(self, recording):
         """A probe that lands on a reader between the writer's publish
@@ -951,7 +991,7 @@ class _Fronted:
     def __init__(self, balancer: Balancer, backend) -> None:
         self.server_address = ("127.0.0.1", balancer.port)
         self.unhandled_errors = backend.unhandled_errors
-        self.RequestHandlerClass = backend.RequestHandlerClass
+        self.service = backend.service
 
 
 @pytest.fixture(scope="module")
@@ -962,7 +1002,7 @@ def fuzz_server(tmp_path_factory):
         ListSnapshot("alexa", dt.date(2018, 1, 1) + dt.timedelta(days=day),
                      (f"a{day}.example.com", "b.example.com", "c.example.org"))
         for day in range(3)]))
-    backend = create_server(QueryService(store))
+    backend = EventLoopServer(QueryService(store))
     threading.Thread(target=backend.serve_forever, daemon=True).start()
     url = f"http://127.0.0.1:{backend.server_address[1]}"
     with Balancer([url], check_interval=30) as balancer:

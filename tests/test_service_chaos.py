@@ -32,7 +32,8 @@ import pytest
 from repro import faults
 from repro.faults import FaultPlan, FaultRule, InjectedCrash
 from repro.providers.base import ListSnapshot
-from repro.service.api import ApiError, QueryService, create_server
+from repro.service.api import ApiError, QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.replica import Replica, http_fetcher
 from repro.service.store import ArchiveStore
 from repro.util.retry import (
@@ -275,19 +276,19 @@ def test_seeded_schedule_is_reproducible(tmp_path: Path) -> None:
 
 
 def test_wire_chaos_keeps_serving_threads_alive(tmp_path: Path) -> None:
-    """Socket-level faults: every handler thread survives, tripwire empty.
+    """Socket-level faults: the leader keeps serving, tripwire empty.
 
     The leader's HTTP server runs under torn/dropped response writes and
     failing request reads; a real follower tails it over HTTP through
     the retry policy, and clients keep querying both.  Nothing may land
-    in ``ApiHTTPServer.unhandled_errors`` — connection deaths are a
+    in ``EventLoopServer.unhandled_errors`` — connection deaths are a
     handled condition, not an escape.
     """
     leader_store = ArchiveStore(tmp_path / "leader")
     for day in range(2):
         leader_store.append(_snapshot("alexa", day))
     leader = QueryService(leader_store)
-    leader_server = create_server(leader, port=0)
+    leader_server = EventLoopServer(leader, port=0)
     leader_port = leader_server.server_address[1]
     threading.Thread(target=leader_server.serve_forever, daemon=True).start()
 

@@ -1,20 +1,20 @@
-"""Event-loop server: wire-contract parity, zero-copy path, idle cost.
+"""Event-loop server: idle cost, resource bounds, faults, zero-copy path.
 
-The parity classes re-run the locked keep-alive and fuzz suites against
-:class:`repro.service.eventloop.EventLoopServer` — same fixtures, same
-assertions, different transport.  The threaded and event-loop servers
-must be indistinguishable on the wire.
+The wire contract itself (keep-alive, protocol failures, fuzz) is
+locked down in ``tests/test_service_keepalive.py`` and
+``tests/test_service_fuzz.py``, which run against this server.
 """
 
 import datetime as dt
 import errno
-import json
 import socket
 import threading
 import time
 
 import pytest
 
+from repro import faults
+from repro.faults import FaultPlan, FaultRule
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service import eventloop
 from repro.service.api import QueryService
@@ -22,20 +22,7 @@ from repro.service.eventloop import EventLoopServer
 from repro.service.shared_cache import SharedPayloadCache
 from repro.service.store import ArchiveStore
 
-# Underscore aliases keep pytest from collecting the originals twice.
-from test_service_keepalive import (  # noqa: F401
-    _get, _port, _request,
-    TestCleanErrorsKeepAlive as _CleanErrorsContract,
-    TestIfNoneMatchRFC7232 as _IfNoneMatchContract,
-    TestNoDelay as _NoDelayContract,
-    TestProtocolFailuresClose as _ProtocolCloseContract,
-)
-from test_service_fuzz import (  # noqa: F401
-    _raw_exchange,
-    TestHeaderAndParamFuzz as _HeaderFuzzContract,
-    TestIngestBodies as _IngestBodiesContract,
-    TestMalformedRequestLines as _MalformedLinesContract,
-)
+from test_service_keepalive import _get, _request
 
 
 def _serve(server: EventLoopServer) -> threading.Thread:
@@ -45,76 +32,11 @@ def _serve(server: EventLoopServer) -> threading.Thread:
     return thread
 
 
-@pytest.fixture(scope="module")
-def keepalive_server(tmp_path_factory):
-    snapshots = [
-        ListSnapshot("alexa", dt.date(2018, 5, 1) + dt.timedelta(days=day),
-                     ("a.com", "b.org", "c.net"))
-        for day in range(3)
-    ]
-    store = ArchiveStore.from_archives(
-        tmp_path_factory.mktemp("elkeepalive"),
-        {"alexa": ListArchive.from_snapshots(snapshots)})
-    server = EventLoopServer(QueryService(store))
-    _serve(server)
-    yield server
-    assert server.unhandled_errors == [], server.unhandled_errors
-    server.shutdown()
-    server.server_close()
-    store.close()
-
-
-@pytest.fixture(scope="module")
-def fuzz_server(tmp_path_factory):
-    root = tmp_path_factory.mktemp("elfuzzstore")
-    store = ArchiveStore(root / "s")
-    store.append_archive(ListArchive.from_snapshots([
-        ListSnapshot("alexa", dt.date(2018, 1, 1) + dt.timedelta(days=day),
-                     (f"a{day}.example.com", "b.example.com", "c.example.org"))
-        for day in range(3)]))
-    service = QueryService(store)
-    server = EventLoopServer(service)
-    _serve(server)
-    yield server
-    assert server.unhandled_errors == [], server.unhandled_errors
-    server.shutdown()
-    server.server_close()
-
-
-# -- the locked wire contracts, replayed over the event loop --------------
-class TestCleanErrorsKeepAliveEventLoop(_CleanErrorsContract):
-    pass
-
-
-class TestProtocolFailuresCloseEventLoop(_ProtocolCloseContract):
-    pass
-
-
-class TestIfNoneMatchEventLoop(_IfNoneMatchContract):
-    pass
-
-
-class TestNoDelayEventLoop(_NoDelayContract):
-    pass
-
-
-class TestMalformedRequestLinesEventLoop(_MalformedLinesContract):
-    pass
-
-
-class TestIngestBodiesEventLoop(_IngestBodiesContract):
-    pass
-
-
-class TestHeaderAndParamFuzzEventLoop(_HeaderFuzzContract):
-    pass
-
-
-# -- event-loop-specific behaviour ----------------------------------------
 class TestIdleConnectionCost:
-    def test_idle_keepalive_connections_cost_no_threads(self, keepalive_server):
+    def test_idle_keepalive_connections_cost_no_threads(self, small_server):
         """The module's reason to exist: parked sockets are just fds."""
-        port = _port(keepalive_server)
+        _serve(small_server)
+        port = small_server.server_address[1]
         before = threading.active_count()
         idle = []
         try:
@@ -239,6 +161,33 @@ class TestResourceBounds:
             exhausted = False
             client.sendall(b"GET /v1/meta HTTP/1.1\r\nHost: x\r\n\r\n")
             assert client.recv(12) == b"HTTP/1.1 200"
+
+
+class TestInjectedWriteFaults:
+    @pytest.mark.parametrize("rule", [
+        FaultRule("api.response.write", "drop", max_fires=1),
+        FaultRule("api.response.write", "torn", keep_bytes=0, max_fires=1),
+    ], ids=["drop", "torn-0"])
+    def test_emptied_body_does_not_stall_the_loop(self, small_server, rule):
+        """A fault that leaves nothing of the body to send closes that
+        connection; the next client is answered at once."""
+        _serve(small_server)
+        port = small_server.server_address[1]
+        plan = FaultPlan(1, [rule])
+        with faults.injected(plan):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=2) as first:
+                first.sendall(_get("/v1/meta"))
+                data = b""
+                while piece := first.recv(65536):
+                    data += piece
+            assert data.startswith(b"HTTP/1.1 200 ")
+            assert plan.fired
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=2) as second:
+                second.sendall(_get("/v1/meta"))
+                assert second.recv(12) == b"HTTP/1.1 200"
+        assert small_server.unhandled_errors == []
 
 
 class TestZeroCopySharedPayloads:

@@ -21,7 +21,8 @@ import urllib.request
 import pytest
 
 from repro.providers.base import ListArchive, ListSnapshot
-from repro.service.api import QueryService, create_server
+from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 
 
@@ -34,7 +35,7 @@ def fuzz_server(tmp_path_factory):
                      (f"a{day}.example.com", "b.example.com", "c.example.org"))
         for day in range(3)]))
     service = QueryService(store)
-    server = create_server(service)
+    server = EventLoopServer(service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -201,6 +202,37 @@ class TestIngestBodies:
         assert response.startswith(b"HTTP/1.1 411"), response[:40]
         assert fuzz_server.unhandled_errors == []
 
+    def test_expect_continue_is_answered_before_the_body(self, fuzz_server):
+        # curl sends ``Expect: 100-continue`` with any body over 1 KiB
+        # and waits 1 s for the interim answer before sending the body.
+        body = (b'{"provider": "alexa", "date": "2018-01-04", '
+                b'"entries": ["d.example.com"]}')
+        head = (b"POST /v1/ingest HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body))
+        with socket.create_connection(("127.0.0.1", _port(fuzz_server)),
+                                      timeout=10) as sock:
+            sock.settimeout(1)
+            sock.sendall(head)
+            assert sock.recv(64) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(10)
+            sock.sendall(body)
+            reader = sock.makefile("rb")
+            assert reader.readline().startswith(b"HTTP/1.1 200 "), \
+                "ingest after 100 Continue"
+            length = None
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                name, _, value = line.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            reader.read(length)
+            # A body sent along with its head needs no interim answer:
+            # the replay conflicts (409) and no 100 precedes it.
+            sock.sendall(head + body)
+            assert reader.readline().startswith(b"HTTP/1.1 409 ")
+            reader.close()
+        assert fuzz_server.unhandled_errors == []
+
 
 class TestHeaderAndParamFuzz:
     def test_bad_if_none_match_values_never_error(self, fuzz_server):
@@ -279,7 +311,7 @@ class TestHeaderAndParamFuzz:
                                                 monkeypatch):
         # An unexpected exception answers a 500 envelope naming only the
         # exception type — str(error) can carry server-side paths.
-        service = fuzz_server.RequestHandlerClass.service
+        service = fuzz_server.service
 
         def explode():
             raise OSError("[Errno 28] No space left on device: '/srv/secret'")

@@ -20,7 +20,8 @@ import socket
 import pytest
 
 from repro.providers.base import ListArchive, ListSnapshot
-from repro.service.api import QueryService, create_server
+from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 
 
@@ -34,7 +35,7 @@ def keepalive_server(tmp_path_factory):
     store = ArchiveStore.from_archives(
         tmp_path_factory.mktemp("keepalive"),
         {"alexa": ListArchive.from_snapshots(snapshots)})
-    server = create_server(QueryService(store))
+    server = EventLoopServer(QueryService(store))
     import threading
 
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -208,8 +209,26 @@ class TestIfNoneMatchRFC7232:
         assert responses[0][0] == 200
 
 
+def _server_side(server, client: socket.socket) -> socket.socket:
+    """The server's socket for ``client``'s (already accepted) connection."""
+    for conn in list(server._conns.values()):
+        try:
+            if conn.sock.getpeername() == client.getsockname():
+                return conn.sock
+        except (AttributeError, OSError):  # closed meanwhile
+            continue
+    raise AssertionError("connection not found on the server")
+
+
 class TestNoDelay:
     def test_handler_disables_nagle(self, keepalive_server):
         """TCP_NODELAY is the keep-alive throughput fix: without it every
         small response waits out the client's delayed ACK (~40 ms)."""
-        assert keepalive_server.RequestHandlerClass.disable_nagle_algorithm
+        with socket.create_connection(
+                ("127.0.0.1", _port(keepalive_server)), timeout=10) as sock:
+            sock.sendall(_get("/v1/meta"))
+            with sock.makefile("rb") as reader:
+                assert _read_response(reader)[0] == 200
+            accepted = _server_side(keepalive_server, sock)
+            assert accepted.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)

@@ -123,6 +123,28 @@ class TestPoolServing:
         assert len(bodies) == 1
         assert len(etags) == 1
 
+    def test_keepalive_burst_over_pool_port(self, pool):
+        """Many requests down ONE connection land on one reader."""
+        import socket
+        with socket.create_connection(
+                ("127.0.0.1", pool.port), timeout=10) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            reader = sock.makefile("rb")
+            bodies = set()
+            for _ in range(16):
+                sock.sendall(b"GET /v1/meta HTTP/1.1\r\nHost: t\r\n\r\n")
+                status_line = reader.readline()
+                assert status_line.startswith(b"HTTP/1.1 200"), status_line
+                headers = {}
+                while True:
+                    line = reader.readline()
+                    if line in (b"\r\n", b"\n"):
+                        break
+                    key, _, value = line.decode("latin-1").partition(":")
+                    headers[key.strip().lower()] = value.strip()
+                bodies.add(reader.read(int(headers["content-length"])))
+            assert len(bodies) == 1
+
     def test_reader_reports_disk_tail_replication(self, pool):
         status, _, body = _get(f"http://127.0.0.1:{pool.port}/v1/health")
         payload = json.loads(body)
@@ -183,7 +205,8 @@ class TestPoolWritePath:
 
 
 class TestPoolSupervision:
-    def test_sigkill_reader_respawns_without_survivor_5xx(self, pool):
+    def test_sigkill_reader_respawns_without_survivor_5xx(self, pool,
+                                                          pool_store):
         base = f"http://127.0.0.1:{pool.port}"
         # Let every reader adopt any version a previous test published,
         # so one reference body is THE body for the whole pool.
@@ -219,12 +242,61 @@ class TestPoolSupervision:
         pool.wait_ready(timeout=10)
         _, _, body = _get(base + "/v1/meta")
         assert body == reference_body
+        # Publish a fresh version and require identity there too: the
+        # respawned reader adopts it like every survivor.
+        ingest = json.dumps({"provider": "alexa", "date": "2030-02-01",
+                             "entries": ["post-respawn.com"]}).encode()
+        status, _, _ = _post(base + "/v1/ingest", ingest)
+        assert status == 200
+        store = ArchiveStore(pool_store, create=False, read_only=True)
+        service = QueryService(store, role="reader")
+        try:
+            service.refresh_from_disk()
+            expected = bytes(service.handle_request("/v1/meta").body)
+            deadline = time.monotonic() + 10
+            seen = set()
+            while time.monotonic() < deadline:
+                seen = {_get(base + "/v1/meta")[2] for _ in range(8)}
+                if seen == {expected}:
+                    break
+                time.sleep(pool.poll_interval)
+            assert seen == {expected}
+        finally:
+            store.close()
 
     def test_killed_worker_slot_records_signal_exit(self, pool):
         slots = pool.describe()["workers"]
         exits = [slot["last_exit"] for slot in slots
                  if slot["last_exit"] is not None]
         assert -signal.SIGKILL in exits
+
+
+class TestPoolDrain:
+    def test_sigterm_leaves_each_worker_through_one_exit(self, tmp_path,
+                                                         small_run):
+        """A drained worker calls ``os._exit`` once, so an exit hook that
+        wraps it (the benchmark's span flush does) is never cut short by
+        a second exit from another thread."""
+        root = tmp_path / "store"
+        ArchiveStore.from_archives(root, small_run.archives).close()
+        exits = tmp_path / "exits"
+
+        def worker_init(role: str, index: int) -> None:
+            real_exit = os._exit
+
+            def slow_exit(code: int) -> None:
+                with open(exits, "a", encoding="utf-8") as log:
+                    log.write(f"{os.getpid()} {code}\n")
+                time.sleep(0.3)  # the hook is still at work
+                real_exit(code)
+
+            os._exit = slow_exit
+
+        with WorkerPool(root, workers=2, poll_interval=0.05,
+                        worker_init=worker_init) as pool:
+            pids = pool.worker_pids()
+        lines = exits.read_text(encoding="utf-8").splitlines()
+        assert sorted(lines) == sorted(f"{pid} 0" for pid in pids)
 
 
 class TestPoolMetrics:
@@ -261,145 +333,6 @@ class TestPoolMetrics:
         assert payload["port"] == pool.port
         roles = sorted(worker["role"] for worker in payload["workers"])
         assert roles == ["reader"] * pool.workers + ["writer"]
-
-
-@pytest.fixture(scope="module")
-def el_store(tmp_path_factory, small_run):
-    root = tmp_path_factory.mktemp("elpoolstore") / "store"
-    ArchiveStore.from_archives(root, small_run.archives).close()
-    return root
-
-
-@pytest.fixture(scope="module")
-def el_pool(el_store):
-    with WorkerPool(el_store, workers=2, poll_interval=0.05,
-                    event_loop=True) as pool:
-        yield pool
-
-
-class TestEventLoopPool:
-    """The pool with ``event_loop=True``: epoll readers, threaded writer."""
-
-    def test_describe_reports_event_loop(self, el_pool, pool):
-        assert el_pool.describe()["event_loop"] is True
-        assert pool.describe()["event_loop"] is False
-
-    def test_payloads_byte_identical_to_single_process(self, el_pool,
-                                                       el_store):
-        store = ArchiveStore(el_store, create=False, read_only=True)
-        service = QueryService(store, role="reader")
-        try:
-            service.refresh_from_disk()
-            for target in DIFFERENTIAL_TARGETS:
-                expected = service.handle_request(target)
-                status, headers, body = _get(
-                    f"http://127.0.0.1:{el_pool.port}{target}")
-                assert status == expected.status, target
-                assert body == bytes(expected.body), target
-                assert headers.get("ETag") == \
-                    expected.headers.get("ETag"), target
-        finally:
-            store.close()
-
-    def test_keepalive_burst_over_pool_port(self, el_pool):
-        """Many requests down ONE connection land on one epoll reader."""
-        import socket
-        with socket.create_connection(
-                ("127.0.0.1", el_pool.port), timeout=10) as sock:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            reader = sock.makefile("rb")
-            bodies = set()
-            for _ in range(16):
-                sock.sendall(b"GET /v1/meta HTTP/1.1\r\nHost: t\r\n\r\n")
-                status_line = reader.readline()
-                assert status_line.startswith(b"HTTP/1.1 200"), status_line
-                headers = {}
-                while True:
-                    line = reader.readline()
-                    if line in (b"\r\n", b"\n"):
-                        break
-                    key, _, value = line.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
-                bodies.add(reader.read(int(headers["content-length"])))
-            assert len(bodies) == 1
-
-    def test_ingest_through_event_loop_reader_converges(self, el_pool):
-        base = f"http://127.0.0.1:{el_pool.port}"
-        before = json.loads(_get(base + "/v1/meta")[2])["store_version"]
-        body = json.dumps({"provider": "alexa", "date": "2032-03-01",
-                           "entries": ["el-a.com", "el-b.org"]}).encode()
-        status, headers, _ = _post(base + "/v1/ingest", body)
-        assert status == 200
-        assert headers.get("X-Repro-Forwarded") == "writer"
-        deadline = time.monotonic() + max(2.0, el_pool.poll_interval * 40)
-        versions = set()
-        while time.monotonic() < deadline:
-            versions = {
-                json.loads(_get(base + "/v1/meta")[2])["store_version"]
-                for _ in range(8)}
-            if versions == {before + 1}:
-                break
-            time.sleep(el_pool.poll_interval)
-        assert versions == {before + 1}
-
-    def test_sigkill_event_loop_reader_mid_load(self, el_pool, el_store):
-        """The issue's chaos clause: kill an epoll reader under load;
-        survivors never answer a non-503 5xx and byte-identity holds at
-        every shared store version, including one published after the
-        respawn."""
-        base = f"http://127.0.0.1:{el_pool.port}"
-        deadline = time.monotonic() + 5
-        bodies = set()
-        while time.monotonic() < deadline:
-            bodies = {_get(base + "/v1/meta")[2] for _ in range(8)}
-            if len(bodies) == 1:
-                break
-            time.sleep(el_pool.poll_interval)
-        assert len(bodies) == 1, "pool did not settle before the kill"
-        reference_body = bodies.pop()
-        restarts_before = el_pool.describe()["restarts"]
-        victim = el_pool.worker_pids("reader")[0]
-        os.kill(victim, signal.SIGKILL)
-        statuses = set()
-        for _ in range(60):
-            status, _, body = _get(base + "/v1/meta")
-            statuses.add(status)
-            assert body == reference_body
-        assert statuses - {200, 503} == set(), \
-            f"survivors answered {statuses - {200, 503}}"
-        assert 200 in statuses
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            pids = el_pool.worker_pids("reader")
-            if victim not in pids and len(pids) == el_pool.workers \
-                    and el_pool.describe()["restarts"] > restarts_before:
-                break
-            time.sleep(0.05)
-        assert el_pool.describe()["restarts"] > restarts_before
-        el_pool.wait_ready(timeout=10)
-        _, _, body = _get(base + "/v1/meta")
-        assert body == reference_body
-        # Publish a fresh version and require identity there too: the
-        # respawned epoll reader adopts it from the shared segment.
-        ingest = json.dumps({"provider": "alexa", "date": "2032-03-02",
-                             "entries": ["el-post.com"]}).encode()
-        status, _, _ = _post(base + "/v1/ingest", ingest)
-        assert status == 200
-        store = ArchiveStore(el_store, create=False, read_only=True)
-        service = QueryService(store, role="reader")
-        try:
-            service.refresh_from_disk()
-            expected = service.handle_request("/v1/meta")
-            deadline = time.monotonic() + 10
-            seen = set()
-            while time.monotonic() < deadline:
-                seen = {_get(base + "/v1/meta")[2] for _ in range(8)}
-                if seen == {bytes(expected.body)}:
-                    break
-                time.sleep(el_pool.poll_interval)
-            assert seen == {bytes(expected.body)}
-        finally:
-            store.close()
 
 
 class TestPoolChaos:
