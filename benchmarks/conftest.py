@@ -20,14 +20,6 @@ def pytest_configure(config):  # noqa: D103 - pytest hook
 
 
 @pytest.fixture(scope="session")
-def emit_header():
-    """Kept for backwards compatibility with older benchmark revisions."""
-    from bench_utils import emit
-
-    return emit
-
-
-@pytest.fixture(scope="session")
 def bench_config() -> SimulationConfig:
     """The benchmark-scale simulation configuration."""
     return SimulationConfig.benchmark()

@@ -23,20 +23,15 @@ Modules map to the paper's sections:
 
 from repro.core.bias import CharacteristicComparison, ComparisonCell, ComparisonTable
 from repro.core.cache import (
-    archive_alternating_half_ranks,
-    archive_base_domain_sets,
     archive_base_id_sets,
     archive_domain_sets,
     archive_id_sets,
-    archive_rank_partition,
     archive_rank_partition_ids,
-    archive_rank_series,
     archive_rank_series_ids,
     archive_sld_count_events,
     snapshot_base_domains,
     snapshot_base_ids,
 )
-from repro.core.interning import BaseIdColumn, DomainInterner, default_interner
 from repro.core.recommendations import (
     Finding,
     RecommendationReport,
@@ -80,6 +75,7 @@ from repro.core.weekly import (
     weekday_weekend_ks,
     within_group_ks,
 )
+from repro.interning import BaseIdColumn, DomainInterner, default_interner
 
 __all__ = [
     "BaseIdColumn",
@@ -96,14 +92,10 @@ __all__ = [
     "StudyPurpose",
     "aggregate_top",
     "alias_count",
-    "archive_alternating_half_ranks",
-    "archive_base_domain_sets",
     "archive_base_id_sets",
     "archive_domain_sets",
     "archive_id_sets",
-    "archive_rank_partition",
     "archive_rank_partition_ids",
-    "archive_rank_series",
     "archive_rank_series_ids",
     "archive_sld_count_events",
     "base_domain_share",

@@ -15,8 +15,7 @@ column instead of a string memo.
 * :func:`archive_base_id_sets` computes each day's base set as a *delta*
   against the previous day: only entries that entered or left the list
   are resolved, and a per-base reference count keeps the set exact when
-  several FQDNs map to the same base.  :func:`archive_base_domain_sets`
-  is the string-view derivation (identical values, shared objects).
+  several FQDNs map to the same base.
 * :func:`extend_base_id_sets` is the live-append entry point: it adds a
   snapshot to an archive while carrying the cached per-day base-id
   mappings forward by one day instead of letting ``archive.add`` drop
@@ -25,7 +24,8 @@ column instead of a string memo.
   counts as change events (day index, new count), again delta-driven.
 * :func:`archive_rank_series_ids` / :func:`archive_rank_partition_ids`
   build id-keyed per-domain rank columns once per ``(archive, top_n)``;
-  the string-keyed views derive from them.
+  callers that need names map the ids through
+  ``default_interner().domains(...)``.
 
 All per-archive results live in the archive's ``_analysis_cache`` dict,
 which :meth:`repro.providers.base.ListArchive.add` drops on mutation;
@@ -208,31 +208,6 @@ def seed_base_id_sets(archive: ListArchive,
     return view
 
 
-def seed_base_domain_sets(archive: ListArchive,
-                          per_day: Mapping[dt.date, frozenset[str]],
-                          psl: Optional[PublicSuffixList] = None,
-                          top_n: Optional[int] = None
-                          ) -> Mapping[dt.date, frozenset[str]]:
-    """String-keyed wrapper of :func:`seed_base_id_sets` (compatibility).
-
-    The sets are interned into the id lane (days with one shared set
-    object keep sharing one id set), then served back through the
-    string-view derivation.
-    """
-    psl = psl or _DEFAULT_PSL
-    table = default_interner()
-    shared: dict[int, frozenset[int]] = {}
-    as_ids = {}
-    for date, names in per_day.items():
-        id_set = shared.get(id(names))
-        if id_set is None:
-            id_set = table.id_set(table.intern_many(names))
-            shared[id(names)] = id_set
-        as_ids[date] = id_set
-    seed_base_id_sets(archive, as_ids, psl=psl, top_n=top_n)
-    return archive_base_domain_sets(archive, top_n=top_n, psl=psl)
-
-
 def extend_base_id_sets(archive: ListArchive, snapshot: ListSnapshot,
                         psl: Optional[PublicSuffixList] = None) -> None:
     """Add ``snapshot`` to ``archive`` without losing the delta engine.
@@ -321,7 +296,7 @@ def archive_base_id_sets(archive: ListArchive,
                          ) -> Mapping[dt.date, frozenset[int]]:
     """Per-day normalised base-domain **id** sets, delta-computed.
 
-    The canonical per-archive engine (the string view derives from it):
+    The canonical per-archive engine:
     day *n+1* comes from day *n* by resolving only the ids that entered
     or left the list — an array lookup per changed id once the base
     column is warm — with an int-keyed reference count keeping the set
@@ -378,41 +353,6 @@ def archive_base_id_sets(archive: ListArchive,
         result[snap.date] = frozen
         prev_raw = raw
         prev_frozen = frozen
-    view = MappingProxyType(result)
-    cache[key] = view
-    return view
-
-
-def archive_base_domain_sets(archive: ListArchive,
-                             top_n: Optional[int] = None,
-                             psl: Optional[PublicSuffixList] = None,
-                             dates: Optional[Sequence[dt.date]] = None
-                             ) -> Mapping[dt.date, frozenset[str]]:
-    """Per-day normalised base-domain sets of an archive (string view).
-
-    Derived from :func:`archive_base_id_sets` — same delta engine, same
-    values; days sharing one id-set object share one string set.  Kept
-    for callers that genuinely need strings (reports, oracles); the
-    analysis hot paths use the id sets directly.
-    """
-    psl = psl or _DEFAULT_PSL
-    dates_key = None if dates is None else tuple(dates)
-    key = ("base-domain-strs", top_n, dates_key, _psl_key(psl))
-    cache = _archive_cache(archive)
-    view = cache.get(key)
-    if view is not None:
-        return view
-    _evict_superseded(cache, key)
-    id_view = archive_base_id_sets(archive, top_n=top_n, psl=psl, dates=dates)
-    table = default_interner()
-    shared: dict[int, frozenset[str]] = {}
-    result = {}
-    for date, id_frozen in id_view.items():
-        names = shared.get(id(id_frozen))
-        if names is None:
-            names = frozenset(table.domains(id_frozen))
-            shared[id(id_frozen)] = names
-        result[date] = names
     view = MappingProxyType(result)
     cache[key] = view
     return view
@@ -570,35 +510,8 @@ def archive_rank_series_ids(archive: ListArchive,
     return view
 
 
-def archive_rank_series(archive: ListArchive,
-                        top_n: Optional[int] = None
-                        ) -> Mapping[str, tuple[tuple[dt.date, int], ...]]:
-    """Per-domain ``(date, rank)`` observations in date order (string view).
-
-    Derived from :func:`archive_rank_series_ids`; the observation tuples
-    are shared, only the keys are materialised.
-    """
-    key = ("rank-series", top_n)
-    cache = _archive_cache(archive)
-    view = cache.get(key)
-    if view is None:
-        table = default_interner()
-        id_view = archive_rank_series_ids(archive, top_n=top_n)
-        view = MappingProxyType({table.domain(domain_id): observations
-                                 for domain_id, observations in id_view.items()})
-        cache[key] = view
-    return view
-
-
 def _freeze_rank_dict(ranks: dict[int, list[int]]) -> Mapping[int, tuple[int, ...]]:
     return MappingProxyType({key: tuple(values) for key, values in ranks.items()})
-
-
-def _stringify_rank_dict(ranks: Mapping[int, tuple[int, ...]]
-                         ) -> Mapping[str, tuple[int, ...]]:
-    table = default_interner()
-    return MappingProxyType({table.domain(domain_id): values
-                             for domain_id, values in ranks.items()})
 
 
 def archive_rank_partition_ids(archive: ListArchive,
@@ -626,25 +539,6 @@ def archive_rank_partition_ids(archive: ListArchive,
         for rank, domain_id in enumerate(snap.entry_ids(), start=1):
             target[domain_id].append(rank)
     result = (_freeze_rank_dict(weekday_ranks), _freeze_rank_dict(weekend_ranks))
-    cache[key] = result
-    return result
-
-
-def archive_rank_partition(archive: ListArchive,
-                           top_n: Optional[int] = None,
-                           weekend: Sequence[int] = (5, 6)
-                           ) -> tuple[Mapping[str, tuple[int, ...]],
-                                      Mapping[str, tuple[int, ...]]]:
-    """String-keyed view of :func:`archive_rank_partition_ids` (cached)."""
-    weekend_key = tuple(weekend)
-    key = ("rank-partition", top_n, weekend_key)
-    cache = _archive_cache(archive)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    weekday_ids, weekend_ids = archive_rank_partition_ids(
-        archive, top_n=top_n, weekend=weekend_key)
-    result = (_stringify_rank_dict(weekday_ids), _stringify_rank_dict(weekend_ids))
     cache[key] = result
     return result
 
@@ -680,25 +574,5 @@ def archive_alternating_half_ranks_ids(archive: ListArchive,
         for rank, domain_id in enumerate(snap.entry_ids(), start=1):
             target[domain_id].append(rank)
     result = (_freeze_rank_dict(first_half), _freeze_rank_dict(second_half))
-    cache[key] = result
-    return result
-
-
-def archive_alternating_half_ranks(archive: ListArchive,
-                                   top_n: Optional[int] = None,
-                                   weekend: Sequence[int] = (5, 6),
-                                   use_weekends: bool = False
-                                   ) -> tuple[Mapping[str, tuple[int, ...]],
-                                              Mapping[str, tuple[int, ...]]]:
-    """String-keyed view of :func:`archive_alternating_half_ranks_ids`."""
-    weekend_key = tuple(weekend)
-    key = ("half-ranks", top_n, weekend_key, use_weekends)
-    cache = _archive_cache(archive)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    first_ids, second_ids = archive_alternating_half_ranks_ids(
-        archive, top_n=top_n, weekend=weekend_key, use_weekends=use_weekends)
-    result = (_stringify_rank_dict(first_ids), _stringify_rank_dict(second_ids))
     cache[key] = result
     return result

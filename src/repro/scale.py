@@ -76,8 +76,8 @@ class ScaleConfig:
         traffic simulation; ``None`` marks a synthetic-only scale.
     memory_budget_bytes:
         Ceiling the scale's analysis battery must stay under
-        (tracemalloc peak); enforced by the scale test matrix and
-        ``benchmarks/run_benchmarks.py --scale``.
+        (tracemalloc peak); enforced by the ``scale`` test tier
+        (``make test-scale``).
     """
 
     name: str
@@ -156,7 +156,7 @@ def _build_scales() -> dict[str, ScaleConfig]:
             name="full_1m",
             description=("The paper's native regime: 1M-entry lists over 30 "
                          "days, three providers.  Synthetic-only; exercised "
-                         "by benchmarks/run_benchmarks.py --scale."),
+                         "by the scale test tier (make test-scale)."),
             list_size=1_000_000,
             n_days=30,
             analysis_top_k=1_000,
@@ -194,16 +194,14 @@ def scaled_profile(profile: "SimulationProfile",
     so per-profile caches and stored reports never collide with the
     full-size preset.  Synthetic-only scales raise :class:`ScaleError`:
     the per-user traffic simulation cannot run at 1M-list size, so
-    corpora at those scales come from :func:`synthetic_archives` (or the
-    ``--scale`` benchmark mode) instead.
+    corpora at those scales come from :func:`synthetic_archives` instead.
     """
     scale = get_scale(scale)
     if not scale.simulatable:
         raise ScaleError(
             f"scale preset {scale.name!r} is synthetic-only: simulating "
             f"{scale.list_size:,}-entry lists per-user is not feasible; "
-            "build corpora with repro.scale.synthetic_archives() or run "
-            "benchmarks/run_benchmarks.py --scale")
+            "build corpora with repro.scale.synthetic_archives() instead")
     config = replace(profile.config, **scale.simulation_overrides)  # type: ignore[arg-type]
     return replace(profile, name=f"{profile.name}+{scale.name}", config=config)
 

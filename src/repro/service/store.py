@@ -20,8 +20,8 @@ private per-shard string table:
   :meth:`ArchiveStore.load_head` and :meth:`ArchiveStore.rank_of_id`
   inflate *only* the chunks a head or point query touches — on a
   1M-entry day a ``top(1000)`` costs one chunk, not four megabytes.
-  v2 stores (one whole-day payload per record) stay readable; their
-  records surface as single-chunk days.
+  Manifests of any other format version, or without a mutation log,
+  are refused.
 * **Columnar loads.**  Opening a store interns the table once into the
   process :func:`~repro.interning.default_interner` (building a table-id
   → process-id translation) and, when the PSL version still matches the
@@ -84,13 +84,10 @@ from repro.providers.base import ListArchive, ListSnapshot
 #: v3 records are *chunked*: the header is followed by a chunk directory
 #: (``n_chunks`` × ``(entry_count, compressed_len)``) and then the
 #: independently-compressed chunk payloads, so readers decompress only
-#: the rank ranges a query touches.  v2 records (one whole-day payload)
-#: remain readable; the per-record magic tells them apart, so a shard
-#: may mix both after an old store is appended to.
+#: the rank ranges a query touches.
 _MAGIC = b"RLS3"
-_MAGIC_V2 = b"RLS2"
 _HEADER = struct.Struct("<4sIIII")  # magic, date ordinal, psl version,
-#                                     n_entries, n_chunks (v2: payload bytes)
+#                                     n_entries, n_chunks
 _CHUNK_DIR = struct.Struct("<II")   # entry count, compressed bytes
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -104,10 +101,6 @@ _U32 = struct.Struct("<I")
 CHUNK_ENTRIES = 16_384
 
 FORMAT_VERSION = 3
-#: Manifest format versions this reader accepts.  v2 stores open as-is
-#: (their records carry the v2 magic); the first append rewrites the
-#: manifest as v3.
-SUPPORTED_FORMATS = frozenset({2, FORMAT_VERSION})
 
 
 class StoreError(RuntimeError):
@@ -276,13 +269,12 @@ def _iter_shard_records(data: "bytes | memoryview", path: Path, limit: int,
                         ) -> Iterator[tuple[int, int, Optional[_Chunks], int]]:
     """Yield ``(ordinal, psl_version, chunks, end_offset)`` per record.
 
-    ``chunks`` is the record's still-compressed chunk list (a v2 record
-    surfaces as a single whole-day chunk) — decompression is the
-    caller's choice, per chunk, so point and head queries inflate only
-    the rank ranges they touch.  ``limit`` bounds the walk to the
-    manifest's record count (bytes past it are an orphaned tail); with
-    ``decode_payload=False`` the payload is skipped entirely (the
-    truncation scan of the append path).
+    ``chunks`` is the record's still-compressed chunk list —
+    decompression is the caller's choice, per chunk, so point and head
+    queries inflate only the rank ranges they touch.  ``limit`` bounds
+    the walk to the manifest's record count (bytes past it are an
+    orphaned tail); with ``decode_payload=False`` the payload is skipped
+    entirely (the truncation scan of the append path).
     """
     offset = 0
     total = len(data)
@@ -291,44 +283,34 @@ def _iter_shard_records(data: "bytes | memoryview", path: Path, limit: int,
     while offset < total and records < limit:
         if offset + _HEADER.size > total:
             raise StoreError(f"{path}: truncated record header at byte {offset}")
-        magic, ordinal, psl_version, n_entries, tail_field = \
+        magic, ordinal, psl_version, n_entries, n_chunks = \
             _HEADER.unpack_from(data, offset)
+        if magic != _MAGIC:
+            raise StoreError(f"{path}: bad record magic at byte {offset}")
         offset += _HEADER.size
+        dir_size = n_chunks * _CHUNK_DIR.size
+        if offset + dir_size > total:
+            raise StoreError(
+                f"{path}: truncated chunk directory at byte {offset}")
+        directory = [_CHUNK_DIR.unpack_from(data, offset + i * _CHUNK_DIR.size)
+                     for i in range(n_chunks)]
+        offset += dir_size
+        if sum(count for count, _ in directory) != n_entries:
+            raise StoreError(
+                f"{path}: chunk directory counts disagree with record "
+                f"header at byte {offset}")
+        payload_len = sum(length for _, length in directory)
+        if offset + payload_len > total:
+            raise StoreError(
+                f"{path}: truncated record payload at byte {offset}")
         chunks: Optional[_Chunks] = None
-        if magic == _MAGIC:
-            n_chunks = tail_field
-            dir_size = n_chunks * _CHUNK_DIR.size
-            if offset + dir_size > total:
-                raise StoreError(
-                    f"{path}: truncated chunk directory at byte {offset}")
-            directory = [_CHUNK_DIR.unpack_from(data, offset + i * _CHUNK_DIR.size)
-                         for i in range(n_chunks)]
-            offset += dir_size
-            if sum(count for count, _ in directory) != n_entries:
-                raise StoreError(
-                    f"{path}: chunk directory counts disagree with record "
-                    f"header at byte {offset}")
-            payload_len = sum(length for _, length in directory)
-            if offset + payload_len > total:
-                raise StoreError(
-                    f"{path}: truncated record payload at byte {offset}")
-            if decode_payload:
-                chunks = []
-                at = offset
-                for count, length in directory:
-                    chunks.append((count, view[at:at + length]))
-                    at += length
-            offset += payload_len
-        elif magic == _MAGIC_V2:
-            payload_len = tail_field
-            if offset + payload_len > total:
-                raise StoreError(
-                    f"{path}: truncated record payload at byte {offset}")
-            if decode_payload:
-                chunks = [(n_entries, view[offset:offset + payload_len])]
-            offset += payload_len
-        else:
-            raise StoreError(f"{path}: bad record magic at byte {offset - _HEADER.size}")
+        if decode_payload:
+            chunks = []
+            at = offset
+            for count, length in directory:
+                chunks.append((count, view[at:at + length]))
+                at += length
+        offset += payload_len
         records += 1
         yield ordinal, psl_version, chunks, offset
 
@@ -383,15 +365,7 @@ class ArchiveStore:
             # be between its tmp write and the atomic rename right now.
             stale_tmp.unlink()
         if self._manifest_path.exists():
-            manifest = json.loads(self._manifest_path.read_text(encoding="utf-8"))
-            if manifest.get("format_version") not in SUPPORTED_FORMATS:
-                raise StoreError(
-                    f"{self._manifest_path}: unsupported store format "
-                    f"{manifest.get('format_version')!r} "
-                    f"(expected one of {sorted(SUPPORTED_FORMATS)})")
-            if "log" not in manifest:
-                manifest = self._synthesise_log(manifest)
-            self._manifest = manifest
+            self._manifest = self._read_manifest()
         elif create and not self.read_only:
             self.root.mkdir(parents=True, exist_ok=True)
             self._manifest = {"format_version": FORMAT_VERSION,
@@ -401,34 +375,6 @@ class ArchiveStore:
             self._write_manifest()
         else:
             raise StoreError(f"no archive store at {self.root}")
-
-    @staticmethod
-    def _synthesise_log(manifest: dict) -> dict:
-        """Derive a mutation log for a pre-log store (one-time migration).
-
-        The log is the replication truth: entry ``i`` is the mutation
-        that produced store version ``i + 1``.  Stores written before
-        the log existed cannot recover their historical global append
-        order (the manifest only keeps per-provider date lists), so the
-        migration assigns the canonical order — appends merged by
-        ``(date, provider)``, then reports by name — and re-anchors
-        ``store_version``/``data_version`` to match.  Versions are an
-        internal cache/replication token, never persisted outside the
-        store, so re-anchoring is safe; it happens in memory and lands
-        on disk with the next durable write.  Deterministic, so a
-        leader and a fresh follower opening the same old store agree.
-        """
-        appends = sorted(
-            (ordinal, provider)
-            for provider, entry in manifest["providers"].items()
-            for ordinal in entry["dates"])
-        log = [["append", provider, ordinal] for ordinal, provider in appends]
-        log += [["report", profile] for profile in sorted(manifest["reports"])]
-        migrated = dict(manifest)
-        migrated["log"] = log
-        migrated["store_version"] = len(log)
-        migrated["data_version"] = len(appends)
-        return migrated
 
     # -- lifecycle --------------------------------------------------------
     def close(self) -> None:
@@ -453,6 +399,20 @@ class ArchiveStore:
         self.close()
 
     # -- manifest ---------------------------------------------------------
+    def _read_manifest(self) -> dict:
+        """The durable manifest, refused unless it is a v3 one with a log."""
+        manifest = json.loads(self._manifest_path.read_text(encoding="utf-8"))
+        version = manifest.get("format_version")
+        if version != FORMAT_VERSION:
+            raise StoreError(
+                f"{self._manifest_path}: unsupported store format "
+                f"{version!r} (expected {FORMAT_VERSION})")
+        if "log" not in manifest:
+            raise StoreError(
+                f"{self._manifest_path}: store format {version} manifest "
+                f"has no mutation log")
+        return manifest
+
     @staticmethod
     def _fsync_dir(directory: Path) -> None:
         """Flush a directory entry (new file / rename) to stable storage."""
@@ -769,9 +729,6 @@ class ArchiveStore:
                     interner_entry["psl_version"] = None
                 interner_entry["entries"] = len(table)
                 new_manifest = dict(manifest)
-                # A v2 store's first append introduces v3 records, so the
-                # manifest advertises the format old readers must refuse.
-                new_manifest["format_version"] = FORMAT_VERSION
                 new_manifest["providers"] = providers
                 new_manifest["interner"] = interner_entry
                 new_manifest["store_version"] = manifest["store_version"] + 1
@@ -895,14 +852,7 @@ class ArchiveStore:
         undecoded until a later refresh.
         """
         with self._write_lock:
-            manifest = json.loads(
-                self._manifest_path.read_text(encoding="utf-8"))
-            if manifest.get("format_version") not in SUPPORTED_FORMATS:
-                raise StoreError(
-                    f"{self._manifest_path}: unsupported store format "
-                    f"{manifest.get('format_version')!r}")
-            if "log" not in manifest:
-                manifest = self._synthesise_log(manifest)
+            manifest = self._read_manifest()
             current = self._manifest["store_version"]
             if manifest["store_version"] == current:
                 return False

@@ -19,19 +19,20 @@ from repro.providers.simulation import SimulationRun, run_simulation
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
         "--run-scale", action="store_true", default=False,
-        help="run paper_bench-scale tests (marked 'scale'; ~100k-entry "
-             "corpora — see `make test-scale`)")
+        help="run scale-tier tests (marked 'scale'; 100k- and 1M-entry "
+             "corpora and timing floors — see `make test-scale`)")
 
 
 def pytest_collection_modifyitems(config: pytest.Config, items) -> None:
     """Tier-1 skips ``scale``-marked tests unless explicitly enabled.
 
-    The paper_bench matrix builds 100k-entry corpora; it belongs in its
-    own CI job (and ``make test-scale``), not on every local run.
+    The tier builds 100k- and 1M-entry corpora and holds timing floors
+    a busy machine could trip; it belongs in its own CI job (and
+    ``make test-scale``), not on every local run.
     """
     if config.getoption("--run-scale"):
         return
-    skip = pytest.mark.skip(reason="paper_bench scale; enable with --run-scale")
+    skip = pytest.mark.skip(reason="scale tier; enable with --run-scale")
     for item in items:
         if "scale" in item.keywords:
             item.add_marker(skip)
@@ -51,6 +52,12 @@ def small_config() -> SimulationConfig:
 def small_run(small_config: SimulationConfig) -> SimulationRun:
     """A fully simulated observation period (archives for all providers)."""
     return run_simulation(small_config)
+
+
+@pytest.fixture(scope="session")
+def bench_run() -> SimulationRun:
+    """The 30-day benchmark-scale run behind the ``scale`` speed floors."""
+    return run_simulation(SimulationConfig.benchmark(n_days=30))
 
 
 @pytest.fixture(scope="session")

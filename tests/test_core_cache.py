@@ -14,9 +14,9 @@ import random
 import pytest
 
 from repro.core.cache import (
-    archive_base_domain_sets,
+    archive_base_id_sets,
     archive_domain_sets,
-    archive_rank_series,
+    archive_rank_series_ids,
     archive_sld_count_events,
     counts_per_day,
     snapshot_base_domains,
@@ -24,9 +24,17 @@ from repro.core.cache import (
 from repro.core.structure import normalise_to_base_domains
 from repro.domain.name import DomainName
 from repro.domain.psl import PublicSuffixList
+from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
 
 START = dt.date(2018, 4, 1)
+
+
+def base_domain_sets(archive: ListArchive, **kwargs) -> dict:
+    """Per-day base-domain *name* sets from the delta engine's id sets."""
+    names = default_interner().domains
+    return {date: frozenset(names(ids))
+            for date, ids in archive_base_id_sets(archive, **kwargs).items()}
 
 
 def _make_archive(provider: str = "alexa", days: int = 12, size: int = 120,
@@ -83,14 +91,14 @@ class TestSnapshotBaseDomains:
 class TestArchiveBaseDomainSets:
     @pytest.mark.parametrize("top_n", [None, 40])
     def test_matches_naive_per_day(self, archive, top_n):
-        sets = archive_base_domain_sets(archive, top_n=top_n)
+        sets = base_domain_sets(archive, top_n=top_n)
         assert sorted(sets) == archive.dates()
         for snapshot in archive:
             head = snapshot.top(top_n) if top_n else snapshot
             assert sets[snapshot.date] == frozenset(
                 normalise_to_base_domains(head.entries)), snapshot.date
     def test_cached_identity(self, archive):
-        assert archive_base_domain_sets(archive) is archive_base_domain_sets(archive)
+        assert archive_base_id_sets(archive) is archive_base_id_sets(archive)
 
     def test_identical_days_share_one_set(self):
         entries = ("a.com", "www.a.com", "b.net")
@@ -98,10 +106,9 @@ class TestArchiveBaseDomainSets:
         for day in range(3):
             archive.add(ListSnapshot(provider="p", date=START + dt.timedelta(days=day),
                                      entries=entries))
-        sets = archive_base_domain_sets(archive)
-        values = list(sets.values())
+        values = list(archive_base_id_sets(archive).values())
         assert values[0] is values[1] is values[2]
-        assert values[0] == frozenset({"a.com", "b.net"})
+        assert set(default_interner().domains(values[0])) == {"a.com", "b.net"}
 
     def test_shared_base_refcounting(self):
         # Day 2 drops www.a.com but keeps a.com: the base must survive.
@@ -112,23 +119,23 @@ class TestArchiveBaseDomainSets:
                                  entries=("a.com", "b.net", "c.org")))
         archive.add(ListSnapshot(provider="p", date=START + dt.timedelta(days=2),
                                  entries=("b.net", "c.org")))
-        sets = archive_base_domain_sets(archive)
+        sets = base_domain_sets(archive)
         assert sets[START] == frozenset({"a.com", "b.net"})
         assert sets[START + dt.timedelta(days=1)] == frozenset({"a.com", "b.net", "c.org"})
         assert sets[START + dt.timedelta(days=2)] == frozenset({"b.net", "c.org"})
 
     def test_returned_view_is_read_only(self, archive):
-        sets = archive_base_domain_sets(archive)
+        sets = archive_base_id_sets(archive)
         with pytest.raises((TypeError, AttributeError)):
             sets.pop(next(iter(sets)))  # type: ignore[attr-defined]
-        series = archive_rank_series(archive)
+        series = archive_rank_series_ids(archive)
         with pytest.raises((TypeError, AttributeError)):
             next(iter(series.values())).append((START, 1))  # type: ignore[attr-defined]
 
     def test_restricted_dates_match_full_run(self, archive):
         subset = archive.dates()[2:7]
-        restricted = archive_base_domain_sets(archive, dates=subset)
-        full = archive_base_domain_sets(archive)
+        restricted = archive_base_id_sets(archive, dates=subset)
+        full = archive_base_id_sets(archive)
         assert sorted(restricted) == subset
         for date in subset:
             assert restricted[date] == full[date]
@@ -139,38 +146,38 @@ class TestArchiveBaseDomainSets:
         archive.add(ListSnapshot(provider="p", date=START, entries=("ok.com",)))
         archive.add(ListSnapshot(provider="p", date=START + dt.timedelta(days=1),
                                  entries=("bad..name",)))
-        restricted = archive_base_domain_sets(archive, dates=[START])
+        restricted = base_domain_sets(archive, dates=[START])
         assert restricted == {START: frozenset({"ok.com"})}
 
     def test_date_subset_entries_are_bounded(self, archive):
         dates = archive.dates()
         for window in range(8):
-            archive_base_domain_sets(archive, dates=dates[window:window + 3])
+            archive_base_id_sets(archive, dates=dates[window:window + 3])
         keys = [k for k in archive.__dict__["_analysis_cache"]
                 if k[:2] == ("base-domain-sets", None)]
         assert len(keys) <= 4, keys
         # The newest window is the one retained and still correct.
-        latest = archive_base_domain_sets(archive, dates=dates[7:10])
+        latest = archive_base_id_sets(archive, dates=dates[7:10])
         assert sorted(latest) == dates[7:10]
 
     def test_copied_archive_mutation_does_not_stale_original(self, archive):
         import copy
 
-        baseline = dict(archive_base_domain_sets(archive))
+        baseline = base_domain_sets(archive)
         clone = copy.copy(archive)
         extra = max(archive.dates()) + dt.timedelta(days=30)
         clone.add(ListSnapshot(provider=archive.provider, date=extra,
                                entries=("clone-only.com",)))
         assert extra not in archive
-        assert dict(archive_base_domain_sets(archive)) == baseline
-        assert extra in archive_base_domain_sets(clone)
+        assert base_domain_sets(archive) == baseline
+        assert extra in archive_base_id_sets(clone)
 
     def test_invalidated_on_archive_mutation(self, archive):
-        first = archive_base_domain_sets(archive)
+        first = archive_base_id_sets(archive)
         extra_date = max(archive.dates()) + dt.timedelta(days=1)
         archive.add(ListSnapshot(provider=archive.provider, date=extra_date,
                                  entries=("brandnew.com",)))
-        second = archive_base_domain_sets(archive)
+        second = archive_base_id_sets(archive)
         assert second is not first
         assert extra_date in second
 
@@ -206,16 +213,17 @@ class TestSldCountEvents:
 
 class TestRankSeries:
     def test_matches_naive(self, archive):
-        series = archive_rank_series(archive, top_n=30)
+        series = archive_rank_series_ids(archive, top_n=30)
         for snapshot in archive:
-            for rank, domain in enumerate(snapshot.entries[:30], start=1):
-                assert (snapshot.date, rank) in series[domain]
+            for rank, domain_id in enumerate(snapshot.entry_ids()[:30], start=1):
+                assert (snapshot.date, rank) in series[domain_id]
         # Observations are in date order.
         for observations in series.values():
             assert [d for d, _ in observations] == sorted(d for d, _ in observations)
 
     def test_cached_identity(self, archive):
-        assert archive_rank_series(archive, top_n=30) is archive_rank_series(archive, top_n=30)
+        assert archive_rank_series_ids(archive, top_n=30) is \
+            archive_rank_series_ids(archive, top_n=30)
 
 
 class TestLowChurnProfileInvalidation:
@@ -262,11 +270,11 @@ class TestLowChurnProfileInvalidation:
 
     def test_add_invalidates_base_domain_sets(self, calm_archives):
         archive = calm_archives["alexa"]
-        before = archive_base_domain_sets(archive)
+        before = archive_base_id_sets(archive)
         extra = self._churned_successor(archive)
         archive.add(extra)
-        after = archive_base_domain_sets(archive)
-        assert after is not before
+        assert archive_base_id_sets(archive) is not before
+        after = base_domain_sets(archive)
         for snapshot in archive:
             assert after[snapshot.date] == frozenset(
                 normalise_to_base_domains(snapshot.entries)), snapshot.date
@@ -297,15 +305,15 @@ class TestLowChurnProfileInvalidation:
     def test_add_rule_invalidates_normalisation(self, calm_archives):
         archive = calm_archives["umbrella"]
         psl = PublicSuffixList()
-        before = archive_base_domain_sets(archive, psl=psl)
+        before = archive_base_id_sets(archive, psl=psl)
         # Promote the base of a listed FQDN to a public suffix, which
         # shifts that entry's base domain one label to the left.
         target = next(name for snapshot in archive for name in snapshot.entries
                       if name.count(".") >= 2)
         new_suffix = target.split(".", 1)[1]
         psl.add_rule(new_suffix)
-        after = archive_base_domain_sets(archive, psl=psl)
-        assert after is not before
+        assert archive_base_id_sets(archive, psl=psl) is not before
+        after = base_domain_sets(archive, psl=psl)
         for snapshot in archive:
             assert after[snapshot.date] == frozenset(
                 normalise_to_base_domains(snapshot.entries, psl=psl)), snapshot.date
@@ -313,10 +321,10 @@ class TestLowChurnProfileInvalidation:
     def test_add_rule_then_add_compose(self, calm_archives):
         archive = calm_archives["alexa"]
         psl = PublicSuffixList()
-        archive_base_domain_sets(archive, psl=psl)
+        archive_base_id_sets(archive, psl=psl)
         archive.add(self._churned_successor(archive, fraction=0.01))
         psl.add_rule("example-churn.com")
-        after = archive_base_domain_sets(archive, psl=psl)
+        after = base_domain_sets(archive, psl=psl)
         for snapshot in archive:
             assert after[snapshot.date] == frozenset(
                 normalise_to_base_domains(snapshot.entries, psl=psl)), snapshot.date

@@ -6,12 +6,17 @@ must be invisible, and each fault kind must surface as the documented
 exception shape.
 """
 
+import datetime as dt
 import io
+import time
 
 import pytest
 
 from repro import faults
 from repro.faults import FaultPlan, FaultRule, InjectedCrash, InjectedFault
+from repro.providers.base import ListArchive, ListSnapshot
+from repro.service.api import QueryService
+from repro.service.store import ArchiveStore
 
 
 @pytest.fixture(autouse=True)
@@ -205,3 +210,44 @@ class TestFireCounters:
             assert deltas.pop(key) == fires
         # No other fired-counter sample moved.
         assert not any(deltas.values())
+
+
+class TestDormantOverhead:
+    def test_disabled_fault_points_under_two_percent(self, tmp_path):
+        # A cached read crosses one fault point (``api.request``), which
+        # costs one ``faults.ACTIVE is not None`` check while no plan is
+        # installed.  Same loop-minus-noop best-of-rounds method as
+        # test_obs.py::TestDormantOverhead.
+        store = ArchiveStore(tmp_path / "store")
+        store.append_archive(ListArchive.from_snapshots([
+            ListSnapshot(provider="alexa",
+                         date=dt.date(2018, 1, 1) + dt.timedelta(days=day),
+                         entries=("a.com", "b.com", f"day{day}.com"))
+            for day in range(2)]))
+        service = QueryService(store)
+        target = "/v1/providers/alexa/stability"
+        assert service.handle_request(target).status == 200
+        rounds, requests, loops = 3, 200, 100_000
+
+        def timed(fn):
+            start = time.perf_counter()
+            fn()
+            return time.perf_counter() - start
+
+        def hammer():
+            for _ in range(requests):
+                service.handle_request(target)
+
+        request_s = min(timed(hammer) for _ in range(rounds)) / requests
+
+        def guard():
+            for _ in range(loops):
+                if faults.ACTIVE is not None:
+                    raise AssertionError("no plan should be active")
+
+        loop_s = min(timed(guard) for _ in range(rounds))
+        noop_s = min(timed(lambda: [None for _ in range(loops)])
+                     for _ in range(rounds))
+        overhead = max(0.0, loop_s - noop_s) / loops / request_s
+        assert overhead < 0.02, (
+            f"dormant fault points cost {overhead:.2%} of a cached read")

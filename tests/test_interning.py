@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import (
-    archive_base_domain_sets,
     archive_base_id_sets,
     snapshot_base_domains,
     snapshot_base_ids,
@@ -215,10 +214,11 @@ class TestIdStringSetOpParity:
         interner = default_interner()
         archive = archives["alexa"]
         id_sets = archive_base_id_sets(archive, top_n=top_n)
-        str_sets = archive_base_domain_sets(archive, top_n=top_n)
-        assert list(id_sets) == list(str_sets)
-        for date, id_set in id_sets.items():
-            assert frozenset(interner.domains(id_set)) == str_sets[date]
+        assert list(id_sets) == archive.dates()
+        for snapshot in archive:
+            head = snapshot.top(top_n) if top_n else snapshot
+            assert frozenset(interner.domains(id_sets[snapshot.date])) == \
+                frozenset(normalise_to_base_domains(head.entries))
 
     @pytest.mark.parametrize("normalise", [True, False])
     def test_intersection_counts_match_string_reference(self, archives, normalise):

@@ -547,9 +547,9 @@ class TestDormantOverhead:
     def test_hot_path_instrumentation_under_two_percent(self, tmp_path):
         # The cached read path gained exactly one plain-int increment
         # (the LRU hit counter); everything else lives at the wire layer
-        # or on miss/ingest paths.  Same loop-minus-noop best-of-rounds
-        # method as benchmarks/run_benchmarks.py --obs, scaled down to
-        # test runtime.
+        # or on miss/ingest paths.  Loop-minus-noop, best of rounds: the
+        # increment's cost over the cached request's, each timed in
+        # isolation so scheduler noise does not swamp a ~1% signal.
         service = _small_service(tmp_path)
         target = "/v1/domains/a.com/history"
         assert service.handle_request(target).status == 200

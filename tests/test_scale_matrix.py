@@ -11,7 +11,10 @@ CLI's ``--tiny`` historically meant, the synthetic generator's
 determinism, and the refusal to *simulate* synthetic-only scales.
 """
 
+import gc
 import random
+import statistics
+import time
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -20,7 +23,9 @@ from types import SimpleNamespace
 import pytest
 
 import repro.service.store as store_module
-from repro.core.stability import mean_daily_change
+from repro.core.intersection import intersection_over_time
+from repro.core.stability import (cumulative_unique_domains, days_in_list,
+                                  mean_daily_change, new_domains_per_day)
 from repro.interning import default_interner
 from repro.scale import (ScaleConfig, ScaleError, get_scale, scale_names,
                          synthetic_archive, synthetic_archives, universe_ids)
@@ -191,6 +196,111 @@ class TestMemoryCeilings:
                 tracemalloc.stop()
         assert peak < corpus.scale.memory_budget_bytes, \
             f"stability battery peaked at {peak / 1e6:.1f} MB"
+
+
+def _traced_peak(fn):
+    """``(fn(), tracemalloc peak bytes)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param("paper_bench", marks=pytest.mark.scale),
+    pytest.param("full_1m", marks=pytest.mark.scale)])
+def ingested(request, tmp_path_factory):
+    """A preset's corpus appended day by day into a chunked store.
+
+    Records each append's wall time and, on the last day of the first
+    provider, the tracemalloc peaks of a head query and a full-day load
+    and a point query's answer.
+    """
+    scale = get_scale(request.param)
+    archives = synthetic_archives(scale)
+    root = tmp_path_factory.mktemp(f"ingest-{scale.name}") / "store"
+    append_seconds = []
+    with ArchiveStore(root) as store:
+        for provider in sorted(archives):
+            for snapshot in archives[provider]:
+                start = time.perf_counter()
+                store.append(snapshot)
+                append_seconds.append(time.perf_counter() - start)
+        provider = scale.providers[0]
+        last = store.dates(provider)[-1]
+        top_k = scale.analysis_top_k
+        # Warm once: the lazy table translation is store-open cost.
+        head = store.load_head(provider, last, top_k)
+        _, head_peak = _traced_peak(lambda: store.load_head(provider, last, top_k))
+        probe_rank = store.rank_of_id(provider, last, head.entry_ids()[top_k - 1])
+        full, full_peak = _traced_peak(lambda: store.load_snapshot(provider, last))
+        full_size = len(full)
+        del full
+    yield SimpleNamespace(scale=scale, archives=archives,
+                          append_seconds=append_seconds, head_peak=head_peak,
+                          full_peak=full_peak, probe_rank=probe_rank,
+                          full_size=full_size)
+
+
+@pytest.fixture(scope="module")
+def battery(ingested):
+    """The analysis battery over the preset's corpus, with its traced peak."""
+    scale, archives = ingested.scale, ingested.archives
+    top_k = scale.analysis_top_k
+    first = archives[scale.providers[0]]
+
+    def run():
+        for archive in archives.values():
+            mean_daily_change(archive, top_n=top_k)
+            new_domains_per_day(archive, top_n=top_k)
+        cumulative_unique_domains(first, top_n=top_k)
+        days_in_list(first, top_n=top_k)
+        intersection_over_time(archives, top_n=top_k, normalise=False)
+        # Full-width churn runs on a window: day-level set analyses never
+        # need the whole period of full-size sets resident at once.
+        dates = first.dates()
+        window = first.period(dates[0], dates[min(7, scale.n_days) - 1])
+        return mean_daily_change(window)
+
+    full_width_change, peak = _traced_peak(run)
+    return SimpleNamespace(full_width_change=full_width_change, peak=peak)
+
+
+class TestNativeScaleGates:
+    """Time and memory floors of ingest, lazy queries and the analyses."""
+
+    def test_steady_state_append_under_one_second(self, ingested):
+        # The first append bootstraps the store's table with every name;
+        # later days add only their churned names.
+        median = statistics.median(ingested.append_seconds[1:])
+        assert median < 1.0, (
+            f"steady-state append of a {ingested.scale.list_size:,}-entry "
+            f"day took {median:.2f}s")
+
+    def test_point_and_full_day_queries_answer(self, ingested):
+        assert ingested.probe_rank == ingested.scale.analysis_top_k
+        assert ingested.full_size == ingested.scale.list_size
+
+    def test_head_query_peak_well_below_full_day_load(self, ingested):
+        if ingested.scale.list_size < 16 * store_module.CHUNK_ENTRIES:
+            pytest.skip("a day this small spans too few chunks to compare")
+        assert ingested.head_peak < ingested.full_peak / 4, (
+            f"head query peak {ingested.head_peak} B vs full-day load "
+            f"{ingested.full_peak} B")
+
+    def test_analysis_battery_under_memory_budget(self, ingested, battery):
+        budget = ingested.scale.memory_budget_bytes
+        assert battery.peak < budget, (
+            f"battery peaked at {battery.peak / 1e6:.0f} MB, "
+            f"budget {budget / 1e6:.0f} MB")
+
+    def test_full_width_daily_change_is_the_configured_churn(self, ingested,
+                                                             battery):
+        assert battery.full_width_change == ingested.scale.churn_per_day
 
 
 class TestPresetRegistry:

@@ -11,10 +11,13 @@ survive incremental ``add()`` updates and an
 from __future__ import annotations
 
 import datetime as dt
+import gc
 import pathlib
 import tempfile
+import time
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -154,8 +157,6 @@ class TestIndexRules:
 
     def test_unknown_provider_raises(self):
         index = DomainIndex.from_archive(_build_archive([["d0.com"]]))
-        import pytest
-
         with pytest.raises(KeyError):
             index.history("d0.com", "nosuch")
         with pytest.raises(ValueError):
@@ -169,3 +170,29 @@ class TestIndexRules:
         assert index.history("d0.com", "alexa")[0][1] == 1
         assert index.history("d0.com", "majestic")[0][1] == 2
         assert index.domain_count("alexa") == 2
+
+
+@pytest.mark.scale
+def test_indexed_history_beats_archive_scan_tenfold(bench_run):
+    """The index must answer history ≥ 10× faster than scanning the archive."""
+    alexa = bench_run.archives["alexa"]
+    index = DomainIndex.from_archives(bench_run.archives)
+    # Every 40th name of the first day plus the last day's tail: present
+    # throughout, dropped early, and late arrivals.
+    probes = list(dict.fromkeys(list(alexa[0].entries[::40])
+                                + list(alexa[len(alexa) - 1].entries[-20:])))
+
+    def timed(fn):
+        gc.collect()
+        start = time.perf_counter()
+        result = fn()
+        return result, time.perf_counter() - start
+
+    scanned, scan_s = timed(lambda: [_scan_history(alexa, d) for d in probes])
+    # One indexed pass takes microseconds; repeat it for a stable timing.
+    rounds = 50
+    looked_up, lookup_s = timed(lambda: [[index.history(d, "alexa") for d in probes]
+                                         for _ in range(rounds)])
+    assert looked_up[0] == scanned
+    speedup = scan_s / (lookup_s / rounds)
+    assert speedup >= 10, f"indexed history only {speedup:.1f}x over the scan"

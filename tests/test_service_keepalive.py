@@ -129,6 +129,12 @@ class TestCleanErrorsKeepAlive:
         assert len(responses) == 20
         assert [status for status, _, _ in responses] == \
             [200, 404, 200, 404] * 5
+        # Every reused-connection answer carries the bytes a fresh
+        # connection gets for the same target.
+        for offset, path in ((0, "/v1/meta"),
+                             (2, "/v1/providers/alexa/stability")):
+            fresh = _request(_port(keepalive_server), [_get(path)])[0][2]
+            assert {body for _, _, body in responses[offset::4]} == {fresh}
 
 
 class TestProtocolFailuresClose:

@@ -22,7 +22,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import archive_base_domain_sets
+from repro.core.cache import archive_base_id_sets
 from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service.store import ArchiveStore, StoreError
@@ -55,8 +55,8 @@ def _assert_matches(store: ArchiveStore, expected: list[ListSnapshot]) -> None:
     # The replayed warm start equals a from-scratch delta computation.
     fresh = ListArchive.from_snapshots(
         [ListSnapshot("alexa", s.date, s.entries) for s in expected])
-    assert dict(archive_base_domain_sets(loaded)) == \
-        dict(archive_base_domain_sets(fresh))
+    assert dict(archive_base_id_sets(loaded)) == \
+        dict(archive_base_id_sets(fresh))
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro.core.cache import archive_base_domain_sets
+from repro.core.cache import archive_base_id_sets
 from repro.domain.psl import default_list
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.scenarios.runner import ScenarioReport
@@ -81,8 +81,8 @@ class TestWarmStart:
     def test_seeded_sets_match_recomputation(self, store_root, small_run):
         store = ArchiveStore(store_root)
         for name, original in small_run.archives.items():
-            seeded = archive_base_domain_sets(store.load_archive(name, warm=True))
-            fresh = archive_base_domain_sets(original)
+            seeded = archive_base_id_sets(store.load_archive(name, warm=True))
+            fresh = archive_base_id_sets(original)
             assert dict(seeded) == dict(fresh), name
 
     def test_cold_load_has_no_seed(self, store_root):

@@ -21,6 +21,8 @@ import http.client
 import json
 import os
 import signal
+import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -29,6 +31,7 @@ import pytest
 
 from repro.obs.metrics import aggregate_expositions, parse_exposition
 from repro.service.api import QueryService
+from repro.service.eventloop import EventLoopServer
 from repro.service.store import ArchiveStore
 from repro.service.workers import CRASH_EXIT_CODE, WorkerPool
 
@@ -160,8 +163,78 @@ class TestPoolServing:
         assert json.loads(body)["role"] == "leader"
 
 
+def _pipelined_rps(port: int, target: str, connections: int,
+                   per_connection: int) -> float:
+    """Responses/s over keep-alive connections, each request burst sent first.
+
+    One thread frames every response (status line, headers,
+    ``Content-Length`` body), so the client never waits on a round trip
+    and the measured ceiling is the server's.
+    """
+    request = f"GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n".encode()
+    socks = [socket.create_connection(("127.0.0.1", port), timeout=30)
+             for _ in range(connections)]
+    try:
+        start = time.perf_counter()
+        for sock in socks:
+            sock.sendall(request * per_connection)
+        for sock in socks:
+            with sock.makefile("rb") as reader:
+                for _ in range(per_connection):
+                    status_line = reader.readline()
+                    assert status_line.startswith(b"HTTP/1.1 200"), status_line
+                    length = 0
+                    while (line := reader.readline()) not in (b"\r\n", b""):
+                        if line.lower().startswith(b"content-length:"):
+                            length = int(line.split(b":", 1)[1])
+                    assert len(reader.read(length)) == length
+        return connections * per_connection / (time.perf_counter() - start)
+    finally:
+        for sock in socks:
+            sock.close()
+
+
+class TestPoolThroughput:
+    @pytest.mark.scale
+    def test_cached_throughput_five_times_per_request_single_process(
+            self, pool, pool_store):
+        """The pool's cached reads outrun per-request single-process serving.
+
+        The baseline is one ``EventLoopServer`` over the same store files,
+        with a fresh TCP connection per request; the pool is driven with
+        pipelined keep-alive connections, best of three trials.
+        """
+        target = "/v1/meta"
+        store = ArchiveStore(pool_store, create=False, read_only=True)
+        server = EventLoopServer(QueryService(store, role="reader"))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            url = f"http://127.0.0.1:{server.server_address[1]}{target}"
+            assert _get(url)[0] == 200  # warm the cache
+            requests = 300
+            start = time.perf_counter()
+            for _ in range(requests):
+                _get(url)
+            baseline_rps = requests / (time.perf_counter() - start)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+            store.close()
+        assert not thread.is_alive()
+        pool_rps = max(_pipelined_rps(pool.port, target, connections=8,
+                                      per_connection=250)
+                       for _ in range(3))
+        speedup = pool_rps / baseline_rps
+        assert speedup >= 5, (
+            f"pool {pool_rps:.0f} req/s is only {speedup:.1f}x the "
+            f"per-request single process ({baseline_rps:.0f} req/s)")
+
+
 class TestPoolWritePath:
-    def test_ingest_through_reader_reaches_every_worker(self, pool):
+    def test_ingest_through_reader_reaches_every_worker(self, pool,
+                                                        reference):
         base = f"http://127.0.0.1:{pool.port}"
         before = json.loads(_get(base + "/v1/meta")[2])["store_version"]
         body = json.dumps({"provider": "alexa", "date": "2030-01-01",
@@ -183,6 +256,25 @@ class TestPoolWritePath:
             time.sleep(pool.poll_interval)
         assert versions == {before + 1}, \
             f"readers did not converge: saw versions {versions}"
+        # At the new version every reader's payloads are still byte- and
+        # ETag-identical to single-process serving of the same files.
+        # Each reader is asked on its own port, so none goes unchecked.
+        reference.refresh_from_disk()
+        for slot in pool.describe()["workers"]:
+            if slot["role"] != "reader":
+                continue
+            worker = f"http://127.0.0.1:{slot['port']}"
+            deadline = time.monotonic() + 10
+            while json.loads(_get(worker + "/v1/meta")[2])[
+                    "store_version"] != before + 1:
+                assert time.monotonic() < deadline, f"{slot} never adopted"
+                time.sleep(pool.poll_interval)
+            for target in DIFFERENTIAL_TARGETS:
+                expected = reference.handle_request(target)
+                status, headers, body = _get(worker + target)
+                assert (status, body) == (expected.status, expected.body), \
+                    target
+                assert headers.get("ETag") == expected.headers.get("ETag")
 
     def test_measured_staleness_within_bound(self, pool):
         status, _, body = _get(f"http://127.0.0.1:{pool.port}/v1/health")

@@ -4,11 +4,10 @@ The chunked record format earns its keep only if every boundary is
 exact: a ``load_head`` that lands on a chunk edge, a day whose size is
 one off a multiple of the chunk size, a point query for the last entry
 of the last chunk.  These tests pin that behaviour with a tiny
-monkeypatched chunk size (so boundaries are cheap to hit), prove v2
-records written before the chunk directory existed stay readable — and
-mixable with v3 appends in one shard — and re-run the PR-5 style
-crash-truncation oracle with the cut landing *inside* a record's final
-chunk payload.
+monkeypatched chunk size (so boundaries are cheap to hit), pin the
+refusal of manifests this reader cannot serve, and re-run the crash-
+truncation oracle with the cut landing *inside* a record's final chunk
+payload.
 """
 
 import datetime as dt
@@ -23,7 +22,7 @@ import pytest
 import repro.service.store as store_module
 from repro.interning import default_interner
 from repro.providers.base import ListSnapshot
-from repro.service.store import (_CHUNK_DIR, _HEADER, _MAGIC, _MAGIC_V2,
+from repro.service.store import (_CHUNK_DIR, _HEADER, _MAGIC,
                                  _decode_chunks, _iter_shard_records,
                                  _pack_ids, ArchiveStore, StoreError)
 
@@ -48,17 +47,13 @@ def _record_chunk_counts(path: Path) -> list[int]:
     data = path.read_bytes()
     offset = 0
     while offset < len(data):
-        magic, _, _, _, tail_field = _HEADER.unpack_from(data, offset)
+        magic, _, _, _, n_chunks = _HEADER.unpack_from(data, offset)
+        assert magic == _MAGIC
         offset += _HEADER.size
-        if magic == _MAGIC:
-            directory = [_CHUNK_DIR.unpack_from(data, offset + i * _CHUNK_DIR.size)
-                         for i in range(tail_field)]
-            counts.append(tail_field)
-            offset += tail_field * _CHUNK_DIR.size + sum(l for _, l in directory)
-        else:
-            assert magic == _MAGIC_V2
-            counts.append(1)
-            offset += tail_field
+        directory = [_CHUNK_DIR.unpack_from(data, offset + i * _CHUNK_DIR.size)
+                     for i in range(n_chunks)]
+        counts.append(n_chunks)
+        offset += n_chunks * _CHUNK_DIR.size + sum(l for _, l in directory)
     return counts
 
 
@@ -90,8 +85,12 @@ class TestChunkBoundaries:
         with ArchiveStore(tmp_path / "store") as store:
             store.append(snapshot)
             for n in (1, 3, 4, 5, 8, 9, 12, 13, 50):
+                before = store.chunks_inflated
                 head = store.load_head("alexa", snapshot.date, n)
                 assert head.entries == snapshot.entries[:n]
+                # Only the chunks the head reaches into are inflated.
+                assert store.chunks_inflated - before == \
+                    math.ceil(min(n, size) / small_chunks)
             with pytest.raises(ValueError):
                 store.load_head("alexa", snapshot.date, 0)
 
@@ -114,74 +113,30 @@ class TestChunkBoundaries:
             assert store.rank_of_id("alexa", snapshot.date, foreign) is None
 
 
-def _downgrade_shard_to_v2(path: Path) -> int:
-    """Re-encode every record of a shard as the pre-chunking v2 layout."""
-    data = path.read_bytes()
-    out = bytearray()
-    records = 0
-    for ordinal, psl_version, chunks, _ in _iter_shard_records(
-            data, path, limit=len(data)):
-        ids = _decode_chunks(chunks)
-        payload = zlib.compress(_pack_ids(ids), 6)
-        out += _HEADER.pack(_MAGIC_V2, ordinal, psl_version,
-                            len(ids), len(payload)) + payload
-        records += 1
-    path.write_bytes(bytes(out))
-    return records
-
-
-def _set_manifest_format(root: Path, version: int) -> None:
-    manifest_path = root / "manifest.json"
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    manifest["format_version"] = version
-    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-
-
-class TestV2Compatibility:
-    def test_v2_store_reads_back_identically(self, tmp_path, small_chunks):
-        days = [_snapshot(day, size) for day, size in enumerate([5, 9, 3])]
-        root = tmp_path / "store"
-        with ArchiveStore(root) as store:
-            for snapshot in days:
-                store.append(snapshot)
-        _downgrade_shard_to_v2(_shard_path(root))
-        _set_manifest_format(root, 2)
-        with ArchiveStore(root) as store:
-            for snapshot in days:
-                loaded = store.load_snapshot("alexa", snapshot.date)
-                assert loaded.entries == snapshot.entries
-            assert store.load_head("alexa", days[1].date, 6).entries == \
-                days[1].entries[:6]
-
-    def test_appending_to_a_v2_store_mixes_formats_in_one_shard(
-            self, tmp_path, small_chunks):
-        days = [_snapshot(day, size) for day, size in enumerate([5, 9])]
-        root = tmp_path / "store"
-        with ArchiveStore(root) as store:
-            for snapshot in days:
-                store.append(snapshot)
-        _downgrade_shard_to_v2(_shard_path(root))
-        _set_manifest_format(root, 2)
-        fresh = _snapshot(2, 9)
-        with ArchiveStore(root) as store:
-            store.append(fresh)
-        # v2 records survive in place; the new day is chunked v3 and the
-        # manifest now advertises the upgraded format.
-        assert _record_chunk_counts(_shard_path(root)) == [1, 1, 3]
-        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["format_version"] == store_module.FORMAT_VERSION
-        with ArchiveStore(root) as store:
-            for snapshot in days + [fresh]:
-                assert store.load_snapshot(
-                    "alexa", snapshot.date).entries == snapshot.entries
-
-    def test_unsupported_format_version_is_refused(self, tmp_path):
+class TestManifestRefusal:
+    @pytest.mark.parametrize("via", ["open", "refresh"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("format_version", 1, "unsupported store format 1"),
+        ("format_version", 2, "unsupported store format 2"),
+        ("log", None, "no mutation log"),
+    ], ids=["format-1", "format-2", "no-log"])
+    def test_unsupported_format_version_is_refused(self, tmp_path, field,
+                                                   value, message, via):
         root = tmp_path / "store"
         with ArchiveStore(root) as store:
             store.append(_snapshot(0, 3))
-        _set_manifest_format(root, 1)
-        with pytest.raises(StoreError, match="format"):
-            ArchiveStore(root)
+            manifest_path = root / "manifest.json"
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            if value is None:
+                del manifest[field]
+            else:
+                manifest[field] = value
+            manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            with pytest.raises(StoreError, match=message):
+                if via == "open":
+                    ArchiveStore(root)
+                else:
+                    store.refresh()
 
 
 class TestCorruptChunkDirectories:
