@@ -46,7 +46,6 @@ from typing import Mapping, Optional, Sequence
 
 from repro.domain.name import normalise
 from repro.domain.psl import PublicSuffixList, default_list
-from repro.interning import base_of as _interning_base_of
 from repro.interning import default_interner
 from repro.obs import metrics
 from repro.providers.base import ListArchive, ListSnapshot
@@ -121,31 +120,6 @@ def _evict_superseded(cache: dict, key: tuple) -> None:
         del cache[same_family.pop(0)]
 
 
-def _base_of(name: str, psl: PublicSuffixList) -> str:
-    """Base domain of ``name``, or the normalised name for bare suffixes.
-
-    Mirrors :func:`repro.core.structure.normalise_to_base_domains` for a
-    single entry (footnote 6 of the paper); the one rule shared with the
-    interner's id column (:func:`repro.interning.base_of`).
-    """
-    return _interning_base_of(name, psl)
-
-
-def _base_of_memoised(psl: PublicSuffixList):
-    memo = _memo_for("base", psl)
-
-    def base_of(name: str) -> str:
-        base = memo.get(name)
-        if base is None:
-            base = _base_of(name, psl)
-            if len(memo) >= _PARSE_MEMO_LIMIT:
-                memo.clear()
-            memo[name] = base
-        return base
-
-    return base_of
-
-
 def _sld_of_id_memoised(psl: PublicSuffixList):
     """Memoised ``domain id -> SLD group label`` lookup (id-keyed)."""
     memo = _memo_for("sld-id", psl)
@@ -162,16 +136,6 @@ def _sld_of_id_memoised(psl: PublicSuffixList):
         return sld
 
     return sld_of
-
-
-def base_domain_mapper(psl: Optional[PublicSuffixList] = None):
-    """A memoised ``name -> base domain`` callable for ``psl``.
-
-    The string-keyed entry point to the per-PSL parse memo, for callers
-    that normalise entries outside an archive context but must match the
-    analysis pipeline's answers exactly.
-    """
-    return _base_of_memoised(psl or _DEFAULT_PSL)
 
 
 def seed_base_id_sets(archive: ListArchive,

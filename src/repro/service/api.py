@@ -402,13 +402,13 @@ class QueryService:
                 last_loaded = archive.dates()[-1] if len(archive) else None
                 if last_loaded == self.store.dates(provider)[-1]:
                     continue
-                # One linear pass over the provider's shards for the tail
-                # (load_snapshot per day would re-decode the shard prefix
-                # per new day).
-                for snapshot in self.store.iter_snapshots(provider):
-                    if last_loaded is None or snapshot.date > last_loaded:
-                        extend_base_id_sets(archive, snapshot)
-                        self._index.add(snapshot)
+                # Only the days after the loaded tail are inflated; the
+                # store skips earlier records with their chunks still
+                # compressed.
+                for snapshot in self.store.iter_snapshots(provider,
+                                                          after=last_loaded):
+                    extend_base_id_sets(archive, snapshot)
+                    self._index.add(snapshot)
             self._loaded_version = self.store.data_version
 
     def providers(self) -> tuple[str, ...]:

@@ -32,7 +32,9 @@ import datetime as dt
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.core.cache import archive_base_id_sets, snapshot_base_ids
 from repro.interning import default_interner
@@ -87,6 +89,62 @@ class _ProviderIndex:
         self.prev_bases: frozenset[int] = frozenset()
 
 
+def _advance_bases(state: _ProviderIndex, ordinal: int,
+                   current: frozenset[int]) -> None:
+    """Record the day's base-membership changes and the day itself."""
+    if current != state.prev_bases:
+        events = state.base_events
+        for base in state.prev_bases - current:
+            events[base].append((ordinal, False))
+        for base in current - state.prev_bases:
+            events.setdefault(base, []).append((ordinal, True))
+        state.prev_bases = current
+    state.dates.append(ordinal)
+
+
+def _bulk_postings(observations: dict[int, array],
+                   snapshots: Sequence[ListSnapshot]) -> None:
+    """Fill an empty provider's postings from whole days at once.
+
+    The days' id columns are concatenated in date order and
+    stable-sorted by id, so each domain's observations stay in date
+    order; every domain's interleaved ``(ordinal, rank)`` postings are
+    then cut out of one pairs buffer — one Python step per distinct
+    domain, not one per entry.  The pairs buffer is allocated before the
+    sort temporaries, and those are freed before the per-domain arrays
+    exist, so the freed temporaries do not end up pinned in the heap
+    beneath the long-lived postings.
+    """
+    sizes = [len(snapshot) for snapshot in snapshots]
+    total = sum(sizes)
+    if not total:
+        return
+    pairs = np.empty((total, 2), np.uint32)
+    ids = np.empty(total, np.uint32)
+    unsorted = np.empty((total, 2), np.uint32)
+    at = 0
+    for snapshot, size in zip(snapshots, sizes):
+        ids[at:at + size] = np.frombuffer(snapshot.entry_ids(), np.uint32)
+        unsorted[at:at + size, 0] = snapshot.date.toordinal()
+        unsorted[at:at + size, 1] = np.arange(1, size + 1, dtype=np.uint32)
+        at += size
+    order = np.argsort(ids, kind="stable")
+    np.take(unsorted, order, axis=0, out=pairs)
+    ids = ids[order]
+    del unsorted, order
+    cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    keys = ids[np.concatenate(([0], cuts))].tolist()
+    bounds = [0, *cuts.tolist(), total]
+    del ids, cuts
+    boxed = default_interner().boxed
+    view = memoryview(pairs).cast("B")
+    width = pairs.itemsize * 2
+    for key, lo, hi in zip(keys, bounds, bounds[1:]):
+        postings = array("I")
+        postings.frombytes(view[lo * width:hi * width])
+        observations[boxed[key]] = postings
+
+
 class DomainIndex:
     """Inverted ``domain → provider → rank history`` index (incremental)."""
 
@@ -130,20 +188,27 @@ class DomainIndex:
             current = table.id_set(table.intern_many(bases))
         else:
             current = bases
-        if current != state.prev_bases:
-            events = state.base_events
-            for base in state.prev_bases - current:
-                events[base].append((ordinal, False))
-            for base in current - state.prev_bases:
-                events.setdefault(base, []).append((ordinal, True))
-            state.prev_bases = current
-        state.dates.append(ordinal)
+        _advance_bases(state, ordinal, current)
 
     def add_archive(self, archive: ListArchive) -> None:
-        """Index a whole archive, sharing the delta engine's base-id sets."""
+        """Index a whole archive, sharing the delta engine's base-id sets.
+
+        A provider with no indexed days yet gets all its postings in one
+        bulk build (:func:`_bulk_postings`); otherwise every snapshot
+        goes through :meth:`add`.  Both give identical postings.
+        """
         per_day = archive_base_id_sets(archive)
-        for snapshot in archive:
-            self.add(snapshot, bases=per_day[snapshot.date])
+        snapshots = archive.snapshots()
+        state = self._providers.get(archive.provider)
+        if not snapshots or (state is not None and state.dates):
+            for snapshot in snapshots:
+                self.add(snapshot, bases=per_day[snapshot.date])
+            return
+        state = self._providers.setdefault(archive.provider, _ProviderIndex())
+        _bulk_postings(state.observations, snapshots)
+        for snapshot in snapshots:
+            _advance_bases(state, snapshot.date.toordinal(),
+                           per_day[snapshot.date])
 
     @classmethod
     def from_archive(cls, archive: ListArchive) -> "DomainIndex":

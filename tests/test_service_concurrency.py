@@ -20,6 +20,8 @@ exercise exactly that seam:
 import datetime as dt
 import hashlib
 import json
+import random
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -27,6 +29,7 @@ import urllib.request
 import pytest
 
 from repro.core.intersection import intersection_over_time
+from repro.interning import default_interner
 from repro.core.stability import (
     cumulative_unique_domains,
     daily_changes,
@@ -102,6 +105,57 @@ def _expected_stability(archive, provider, top_n=None):
             for offset, value in sorted(intersection_with_reference(
                 archive, reference_days=range(7), top_n=top_n).items())},
     }
+
+
+def test_store_loads_stay_exact_while_appends_grow_the_table(tmp_path):
+    """Reader threads decode published days while a writer appends.
+
+    Every append grows the store's domain table and its numpy lookup
+    tables; a reader translating a published day through them, or
+    resolving a point query, must never see a wrong or missing id.
+    """
+    days = [_snapshot("alexa", day) for day in range(40)]
+    store = ArchiveStore(tmp_path / "s")
+    store.append(days[0])
+    interner = default_interner()
+    done = threading.Event()
+    failures: list[str] = []
+
+    def reader(seed: int) -> None:
+        rng = random.Random(seed)
+        while not done.is_set() and not failures:
+            snapshot = days[rng.randrange(len(store.dates("alexa")))]
+            got = store.load_snapshot("alexa", snapshot.date).entry_ids()
+            if got != snapshot.entry_ids():
+                failures.append(f"load_snapshot {snapshot.date}")
+            head = store.load_head("alexa", snapshot.date, 7).entry_ids()
+            if head != snapshot.entry_ids()[:7]:
+                failures.append(f"load_head {snapshot.date}")
+            last = interner.id_of(snapshot.entries[-1])
+            if store.rank_of_id("alexa", snapshot.date, last) != len(snapshot):
+                failures.append(f"rank_of_id {snapshot.date}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        readers = [threading.Thread(target=reader, args=(seed,))
+                   for seed in range(4)]
+        for thread in readers:
+            thread.start()
+        try:
+            for snapshot in days[1:]:
+                store.append(snapshot, sync=False)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert not failures, failures[:5]
+    streamed = [s.entry_ids() for s in store.iter_snapshots("alexa")]
+    assert streamed == [s.entry_ids() for s in days]
+    store.close()
 
 
 class TestLiveAppendParity:

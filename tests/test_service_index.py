@@ -145,6 +145,66 @@ class TestIndexParity:
         _assert_parity(index, archive)
 
 
+def _provider_state(index: DomainIndex, provider: str = "prop"):
+    state = index._providers.get(provider)
+    if state is None:
+        return None
+    return state.dates, state.observations, state.base_events, state.prev_bases
+
+
+def _per_snapshot_index(archive: ListArchive) -> DomainIndex:
+    index = DomainIndex()
+    for snapshot in archive:
+        index.add(snapshot)
+    return index
+
+
+def _assert_same_index(got: DomainIndex, want: DomainIndex,
+                       archive: ListArchive) -> None:
+    """Every domain's postings array and every base interval agree."""
+    assert _provider_state(got) == _provider_state(want)
+    for base in sorted({base for snapshot in archive
+                        for base in snapshot_base_domains(snapshot)}):
+        assert got.base_intervals(base, "prop") == \
+            want.base_intervals(base, "prop"), base
+
+
+class TestBulkBuildParity:
+    """``add_archive``'s bulk build against per-snapshot ``add``."""
+
+    @given(_archive_days)
+    @settings(max_examples=30, deadline=None)
+    def test_bulk_build_equals_per_snapshot_add(self, days):
+        archive = _build_archive(days)
+        bulk = DomainIndex()
+        bulk.add_archive(archive)
+        _assert_same_index(bulk, _per_snapshot_index(archive), archive)
+
+    def test_empty_archive(self):
+        archive = ListArchive(provider="prop")
+        bulk = DomainIndex()
+        bulk.add_archive(archive)
+        assert bulk.providers() == _per_snapshot_index(archive).providers() == ()
+        assert _provider_state(bulk) is None
+
+    def test_one_day_archive(self):
+        archive = _build_archive([["www.d0.com", "d1.co.uk", "d0.com"]])
+        bulk = DomainIndex()
+        bulk.add_archive(archive)
+        _assert_same_index(bulk, _per_snapshot_index(archive), archive)
+        assert bulk.history("d0.com", "prop") == [(archive.dates()[0], 3)]
+
+    @given(_archive_days)
+    @settings(max_examples=20, deadline=None)
+    def test_provider_with_days_falls_back_to_add(self, days):
+        archive = _build_archive(days)
+        first, *rest = archive.snapshots()
+        index = DomainIndex()
+        index.add(first)
+        index.add_archive(ListArchive.from_snapshots(rest))
+        _assert_same_index(index, _per_snapshot_index(archive), archive)
+
+
 class TestIndexRules:
     def test_out_of_order_add_rejected(self):
         archive = _build_archive([["d0.com"], ["d1.com"]])

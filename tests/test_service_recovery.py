@@ -17,15 +17,19 @@ record or a table entry in half), and drops a half-written
 
 import datetime as dt
 import tempfile
+import zlib
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.core.cache import archive_base_id_sets
+from repro.faults import FaultPlan, FaultRule
 from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
-from repro.service.store import ArchiveStore, StoreError
+from repro.service.store import (ArchiveStore, StoreError,
+                                 _iter_shard_records, _shard_view)
 
 BASE_DATE = dt.date(2018, 3, 1)
 POOL = tuple(f"pool-{i:02d}.example.com" for i in range(24)) + (
@@ -144,3 +148,62 @@ def test_truncation_inside_published_data_is_loud(tmp_path):
         assert "truncated" in str(error)
     else:  # pragma: no cover - the assertion documents the contract
         raise AssertionError("published-data truncation went unnoticed")
+
+
+def _decoded_store(root: Path) -> tuple[bytes, list]:
+    """``interner.tbl`` bytes and every record's decoded store-id column."""
+    records = []
+    for shard in sorted((root / "shards").rglob("*.rls")):
+        for ordinal, _, chunks, _ in _iter_shard_records(
+                _shard_view(shard), shard, limit=1 << 30):
+            records.append((shard.name, ordinal, b"".join(
+                zlib.decompress(raw) for _, raw in chunks)))
+    return (root / "interner.tbl").read_bytes(), records
+
+
+def test_failed_append_rolls_back_the_lookup_table(tmp_path):
+    """A failed append that added table entries leaves no stale store id.
+
+    The shard write fails after the append has grown the in-memory table
+    (and its process-id lookup table) with the day's new names.  The
+    retry must re-assign and re-encode those names, so the store decodes
+    exactly like one that never saw the failure.
+    """
+    days = [
+        _snapshot(0, POOL[:8]),
+        _snapshot(1, POOL[6:12] + ("rollback-a.example.net",
+                                   "www.rollback-b.example.net")),
+        _snapshot(2, ("rollback-c.example.net",) + POOL[10:16]),
+    ]
+    clean_root = tmp_path / "clean"
+    with ArchiveStore(clean_root) as clean:
+        for snapshot in days:
+            clean.append(snapshot)
+
+    root = tmp_path / "faulty"
+    store = ArchiveStore(root)
+    store.append(days[0])
+    table_before = (root / "interner.tbl").read_bytes()
+    plan = FaultPlan(seed=0, rules=[
+        FaultRule("store.shard.write", "error", on_calls=(1,))])
+    with faults.injected(plan):
+        try:
+            store.append(days[1])
+        except faults.InjectedFault:
+            pass
+        else:
+            raise AssertionError("the shard write fault did not fire")
+    assert plan.fired == [("store.shard.write", 1, "error")]
+    assert (root / "interner.tbl").read_bytes() == table_before
+    assert store.dates("alexa") == [days[0].date]
+
+    store.append(days[1])
+    store.append(days[2])
+    interner = default_interner()
+    for snapshot in days:
+        for rank, domain in enumerate(snapshot.entries, start=1):
+            assert store.rank_of_id("alexa", snapshot.date,
+                                    interner.id_of(domain)) == rank
+    store.close()
+    assert _decoded_store(root) == _decoded_store(clean_root)
+    _assert_matches(ArchiveStore(root), days)

@@ -13,6 +13,7 @@ payload.
 import datetime as dt
 import json
 import math
+import struct
 import zlib
 from array import array
 from pathlib import Path
@@ -22,9 +23,10 @@ import pytest
 import repro.service.store as store_module
 from repro.interning import default_interner
 from repro.providers.base import ListSnapshot
+from repro.service.api import QueryService
 from repro.service.store import (_CHUNK_DIR, _HEADER, _MAGIC,
                                  _decode_chunks, _iter_shard_records,
-                                 _pack_ids, ArchiveStore, StoreError)
+                                 ArchiveStore, StoreError)
 
 BASE = dt.date(2018, 5, 1)
 
@@ -147,7 +149,10 @@ class TestCorruptChunkDirectories:
         payload = bytearray()
         for start in range(0, len(ids), chunk):
             piece = ids[start:start + chunk]
-            compressed = zlib.compress(_pack_ids(piece), 6)
+            # Level 6, the level older stores were written at: readers
+            # inflate any level.
+            compressed = zlib.compress(
+                struct.pack(f"<{len(piece)}I", *piece), 6)
             directory += _CHUNK_DIR.pack(len(piece), len(compressed))
             payload += compressed
         return _HEADER.pack(_MAGIC, ordinal, 1, len(ids),
@@ -243,3 +248,29 @@ class TestCrashTruncatedFinalChunk:
             entry["shards"] = {month: count - 1
                                for month, count in entry["shards"].items()}
             manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestAdoptionInflatesOnlyNewDays:
+    """A reader adopting one new day pays for that day, not the history."""
+
+    @pytest.mark.parametrize("stored_days", [5, 20])
+    def test_adopting_one_day_inflates_exactly_its_chunks(
+            self, tmp_path, small_chunks, stored_days):
+        root = tmp_path / "store"
+        # Day 20 onwards: the 20-day history spans a month boundary, so
+        # whole earlier months are skipped as well as earlier records.
+        days = [_snapshot(20 + day, 10) for day in range(stored_days + 1)]
+        writer = ArchiveStore(root)
+        for snapshot in days[:-1]:
+            writer.append(snapshot)
+        reader_store = ArchiveStore(root, create=False, read_only=True)
+        reader = QueryService(reader_store)
+        assert reader.archive("alexa").dates() == [s.date for s in days[:-1]]
+
+        writer.append(days[-1])
+        before = reader_store.chunks_inflated
+        assert reader.refresh_from_disk()
+        assert reader_store.chunks_inflated - before == math.ceil(10 / small_chunks)
+        adopted = reader.archive("alexa")
+        assert adopted.dates() == [s.date for s in days]
+        assert adopted[-1].entries == days[-1].entries
