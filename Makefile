@@ -31,14 +31,15 @@ golden-test:
 goldens:
 	$(PYTHON) scripts/refresh_goldens.py
 
-## Fault-injection, retry and replica-convergence suites under one
-## deterministic chaos seed (override: make chaos CHAOS_SEED=7).
+## Fault-injection, retry, balancer and replica-convergence suites under
+## one deterministic chaos seed (override: make chaos CHAOS_SEED=7).
+## CI's chaos job runs this target, so the file list lives only here.
 CHAOS_SEED ?= 0
 chaos:
 	REPRO_CHAOS_SEED=$(CHAOS_SEED) $(PYTHON) -m pytest -q \
 		tests/test_faults.py tests/test_util_retry.py \
 		tests/test_service_replica.py tests/test_service_chaos.py \
-		tests/test_obs.py
+		tests/test_service_balance.py tests/test_obs.py
 
 ## The deployed-path benchmark (client -> repro-serve balance -> worker
 ## pool -> store) on both workloads BENCHMARK.json declares, 30 s each

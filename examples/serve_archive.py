@@ -3,7 +3,7 @@
 
 Simulates a small observation period, persists the three provider
 archives into an :class:`~repro.service.store.ArchiveStore`, reloads
-them warm-started, and answers the query API's endpoints offline through
+them as id columns, and answers the query API's endpoints offline through
 :class:`~repro.service.api.QueryService` — the same code path
 ``repro-serve`` exposes over HTTP.
 
@@ -22,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 from repro import SimulationConfig, run_simulation
+from repro.core import archive_base_id_sets
 from repro.service import ArchiveStore, DomainIndex, QueryService
 
 
@@ -39,11 +40,12 @@ def main() -> None:
         print(f"  {len(store)} snapshots, {len(store.providers())} providers, "
               f"{shard_bytes / 1024:.0f} KiB on disk at {store_dir}")
 
-        print("\n== Warm-started reload ==")
+        print("\n== Reloaded archives ==")
         archives = store.load_archives()
         for name, archive in sorted(archives.items()):
-            seeded = "warm" if "_analysis_cache" in archive.__dict__ else "cold"
-            print(f"  {name:<9} {len(archive)} days, delta engine {seeded}")
+            last = archive_base_id_sets(archive)[archive.dates()[-1]]
+            print(f"  {name:<9} {len(archive)} days, "
+                  f"{len(last)} base domains on the last day")
 
         index = DomainIndex.from_archives(archives)
         probe = archives["alexa"][0].entries[0]

@@ -24,12 +24,10 @@ Modules map to the paper's sections:
 from repro.core.bias import CharacteristicComparison, ComparisonCell, ComparisonTable
 from repro.core.cache import (
     archive_base_id_sets,
-    archive_domain_sets,
     archive_id_sets,
     archive_rank_partition_ids,
     archive_rank_series_ids,
     archive_sld_count_events,
-    snapshot_base_domains,
     snapshot_base_ids,
 )
 from repro.core.recommendations import (
@@ -93,7 +91,6 @@ __all__ = [
     "aggregate_top",
     "alias_count",
     "archive_base_id_sets",
-    "archive_domain_sets",
     "archive_id_sets",
     "archive_rank_partition_ids",
     "archive_rank_series_ids",
@@ -116,7 +113,6 @@ __all__ = [
     "pairwise_intersection",
     "rank_variation",
     "sld_group_dynamics",
-    "snapshot_base_domains",
     "snapshot_base_ids",
     "structure_summary",
     "subdomain_depth_distribution",

@@ -10,12 +10,15 @@ columns (:mod:`repro.interning`), so the delta engines diff
 and answer base-domain normalisation from a PSL-version-stamped id
 column instead of a string memo.
 
-* :func:`snapshot_base_ids` / :func:`snapshot_base_domains` cache one
-  snapshot's normalised base-domain set per ``(PSL identity, version)``.
-* :func:`archive_base_id_sets` computes each day's base set as a *delta*
-  against the previous day: only entries that entered or left the list
-  are resolved, and a per-base reference count keeps the set exact when
-  several FQDNs map to the same base.
+* :func:`snapshot_base_ids` caches one snapshot's normalised base-id
+  set per ``(PSL identity, version)``.
+* :func:`archive_base_id_sets` is the one base-set delta engine, for
+  in-memory and store-loaded archives alike: it computes each day's base
+  set as a *delta* against the previous day, so only entries that
+  entered or left the list are resolved, and a per-base reference count
+  keeps the set exact when several FQDNs map to the same base.  Each
+  day's raw id set is transient, so the engine pins only its results.
+  Names map back to strings through ``default_interner().domains(...)``.
 * :func:`extend_base_id_sets` is the live-append entry point: it adds a
   snapshot to an archive while carrying the cached per-day base-id
   mappings forward by one day instead of letting ``archive.add`` drop
@@ -138,40 +141,6 @@ def _sld_of_id_memoised(psl: PublicSuffixList):
     return sld_of
 
 
-def seed_base_id_sets(archive: ListArchive,
-                      per_day: Mapping[dt.date, frozenset[int]],
-                      psl: Optional[PublicSuffixList] = None,
-                      top_n: Optional[int] = None
-                      ) -> Mapping[dt.date, frozenset[int]]:
-    """Warm-start the delta engine with precomputed per-day base-id sets.
-
-    Installs ``per_day`` as the archive's cached
-    :func:`archive_base_id_sets` result for ``(top_n, psl)``, so a
-    process that *persisted* the sets (the :mod:`repro.service` archive
-    store replays them from stored base ids) does not redo a month of
-    delta computation on restart.  The caller asserts the data is what
-    the delta engine would compute — the sets must cover exactly the
-    archive's dates (validated here); an existing cache entry wins, and
-    a later :meth:`~repro.providers.base.ListArchive.add` drops the
-    seeded entry like any other cached result.
-    """
-    psl = psl or _DEFAULT_PSL
-    key = ("base-domain-sets", top_n, None, _psl_key(psl))
-    cache = _archive_cache(archive)
-    existing = cache.get(key)
-    if existing is not None:
-        return existing
-    expected = archive.dates()
-    if list(per_day) != expected:
-        raise ValueError(
-            "seeded base-domain sets must cover exactly the archive's dates "
-            f"({len(per_day)} given, {len(expected)} in archive)")
-    _evict_superseded(cache, key)
-    view = MappingProxyType(dict(per_day))
-    cache[key] = view
-    return view
-
-
 def extend_base_id_sets(archive: ListArchive, snapshot: ListSnapshot,
                         psl: Optional[PublicSuffixList] = None) -> None:
     """Add ``snapshot`` to ``archive`` without losing the delta engine.
@@ -232,27 +201,6 @@ def snapshot_base_ids(snapshot: ListSnapshot,
     return result
 
 
-def snapshot_base_domains(snapshot: ListSnapshot,
-                          psl: Optional[PublicSuffixList] = None) -> frozenset[str]:
-    """The snapshot's entries normalised to unique base domains (cached).
-
-    String view of :func:`snapshot_base_ids` — identical values, derived
-    once per ``(PSL identity, version)``.
-    """
-    psl = psl or _DEFAULT_PSL
-    key = _psl_key(psl)
-    cache = snapshot.__dict__.setdefault("_base_domain_sets", {})
-    result = cache.get(key)
-    if result is None:
-        for stale in [k for k in cache if k[0] == key[0] and k[1] < key[1]]:
-            del cache[stale]
-        while len(cache) >= _PSL_GENERATION_LIMIT:
-            del cache[next(iter(cache))]
-        result = frozenset(default_interner().domains(snapshot_base_ids(snapshot, psl)))
-        cache[key] = result
-    return result
-
-
 def archive_base_id_sets(archive: ListArchive,
                          top_n: Optional[int] = None,
                          psl: Optional[PublicSuffixList] = None,
@@ -284,6 +232,7 @@ def archive_base_id_sets(archive: ListArchive,
     table = default_interner()
     base_id = table.base_column(psl).base_id
     boxed = table.boxed
+    id_set = table.id_set
     result = {}
     counts: dict[int, int] = {}
     prev_raw: Optional[frozenset[int]] = None
@@ -291,7 +240,10 @@ def archive_base_id_sets(archive: ListArchive,
     snapshots = archive if dates_key is None else (archive[d] for d in dates_key)
     for snapshot in snapshots:
         snap = snapshot.top(top_n) if top_n is not None else snapshot
-        raw = snap.id_set()
+        # A transient set, not the cached snap.id_set(): the delta needs
+        # a two-day window, and caching would pin every day's full-size
+        # set for the archive's lifetime.
+        raw = id_set(snap.entry_ids())
         if prev_raw is None:
             for domain_id in snap.entry_ids():
                 base = boxed[base_id(domain_id)]
@@ -322,9 +274,16 @@ def archive_base_id_sets(archive: ListArchive,
     return view
 
 
-def _raw_sets(archive: ListArchive, kind: str, top_n: Optional[int],
-              dates_key: Optional[tuple], per_snapshot) -> Mapping:
-    key = (kind, top_n, dates_key)
+def archive_id_sets(archive: ListArchive,
+                    top_n: Optional[int] = None,
+                    dates: Optional[Sequence[dt.date]] = None
+                    ) -> Mapping[dt.date, frozenset[int]]:
+    """Per-day raw (un-normalised) interned-id sets of an archive (cached).
+
+    ``dates`` restricts the result to a subset of the archive's dates.
+    """
+    dates_key = None if dates is None else tuple(dates)
+    key = ("id-sets", top_n, dates_key)
     cache = _archive_cache(archive)
     view = cache.get(key)
     if view is None:
@@ -335,36 +294,10 @@ def _raw_sets(archive: ListArchive, kind: str, top_n: Optional[int],
         snapshots = archive if dates_key is None else (archive[d] for d in dates_key)
         for snapshot in snapshots:
             snap = snapshot.top(top_n) if top_n is not None else snapshot
-            result[snap.date] = per_snapshot(snap)
+            result[snap.date] = snap.id_set()
         view = MappingProxyType(result)
         cache[key] = view
     return view
-
-
-def archive_id_sets(archive: ListArchive,
-                    top_n: Optional[int] = None,
-                    dates: Optional[Sequence[dt.date]] = None
-                    ) -> Mapping[dt.date, frozenset[int]]:
-    """Per-day raw (un-normalised) interned-id sets of an archive (cached).
-
-    ``dates`` restricts the result to a subset of the archive's dates.
-    """
-    dates_key = None if dates is None else tuple(dates)
-    return _raw_sets(archive, "id-sets", top_n, dates_key,
-                     ListSnapshot.id_set)
-
-
-def archive_domain_sets(archive: ListArchive,
-                        top_n: Optional[int] = None,
-                        dates: Optional[Sequence[dt.date]] = None
-                        ) -> Mapping[dt.date, frozenset[str]]:
-    """Per-day raw (un-normalised) domain-string sets of an archive (cached).
-
-    ``dates`` restricts the result to a subset of the archive's dates.
-    """
-    dates_key = None if dates is None else tuple(dates)
-    return _raw_sets(archive, "domain-sets", top_n, dates_key,
-                     ListSnapshot.domain_set)
 
 
 def archive_sld_count_events(archive: ListArchive,

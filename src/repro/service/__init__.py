@@ -5,9 +5,10 @@ answer queries without rebuilding the world per request:
 
 * :mod:`repro.service.store` — :class:`ArchiveStore`, an append-only
   on-disk snapshot store (shared string table + per-day rank arrays,
-  sharded by provider/month) that warm-starts
-  :class:`~repro.providers.base.ListArchive` objects *and* the
-  :mod:`repro.core.cache` delta engine on load.
+  sharded by provider/month) that reloads
+  :class:`~repro.providers.base.ListArchive` objects as id columns and
+  seeds the interner's base-id column from its stored bases, so the
+  :mod:`repro.core.cache` delta engine PSL-parses nothing on load.
 * :mod:`repro.service.index` — :class:`DomainIndex`, a domain-centric
   inverted index (``domain → provider → [(date, rank)]`` plus base-domain
   membership intervals) answering rank-history, longevity and

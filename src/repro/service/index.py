@@ -12,8 +12,8 @@ archives once into
   windowed history; and
 * ``base-domain id → provider → membership intervals`` built from the
   same day-over-day deltas the :func:`repro.core.cache.archive_base_id_sets`
-  engine computes (shared via the archive's cache, so indexing a warmed
-  archive resolves nothing),
+  engine computes (shared via the archive's cache, so an analysis that
+  already asked for them costs the index nothing more),
 
 after which rank history, list longevity and days-in-top-k are one
 int-keyed dictionary lookup plus a walk over exactly the domain's own
@@ -158,13 +158,13 @@ class DomainIndex:
 
     # -- construction -----------------------------------------------------
     def add(self, snapshot: ListSnapshot,
-            bases: Optional[frozenset] = None) -> None:
+            bases: Optional[frozenset[int]] = None) -> None:
         """Index the next snapshot of its provider (strict date order).
 
         ``bases`` optionally supplies the snapshot's precomputed
-        base-domain set — as interned ids (the bulk loaders pass the
-        delta engine's shared result) or, for compatibility, as strings;
-        otherwise it is taken from the per-snapshot cache.
+        base-domain id set (the bulk loaders pass the delta engine's
+        shared result); otherwise it is taken from the per-snapshot
+        cache.
         """
         state = self._providers.setdefault(snapshot.provider, _ProviderIndex())
         ordinal = snapshot.date.toordinal()
@@ -181,14 +181,8 @@ class DomainIndex:
             else:
                 postings.append(ordinal)
                 postings.append(rank)
-        if bases is None:
-            current = snapshot_base_ids(snapshot)
-        elif bases and not isinstance(next(iter(bases)), int):
-            table = default_interner()
-            current = table.id_set(table.intern_many(bases))
-        else:
-            current = bases
-        _advance_bases(state, ordinal, current)
+        _advance_bases(state, ordinal,
+                       snapshot_base_ids(snapshot) if bases is None else bases)
 
     def add_archive(self, archive: ListArchive) -> None:
         """Index a whole archive, sharing the delta engine's base-id sets.
@@ -230,9 +224,11 @@ class DomainIndex:
                    ) -> "DomainIndex":
         """Build an index from an :class:`~repro.service.store.ArchiveStore`.
 
-        Loads via the store's warm-started columnar archives, so the
-        base-domain deltas are replayed from disk rather than re-parsed
-        and no entry strings are materialised along the way.
+        Loads the store's columnar archives and indexes them through
+        :meth:`add_archive`, so the base-domain sets come from the one
+        delta engine over the base-id column the store seeded from its
+        stored bases: nothing is PSL-parsed on a matching PSL, and no
+        entry string is materialised along the way.
         """
         names = tuple(providers) if providers is not None else store.providers()
         index = cls()

@@ -1,9 +1,9 @@
 """Append-only on-disk archive store sharing the process interner.
 
 The analyses so far rebuilt every :class:`~repro.providers.base.ListArchive`
-from CSV (or a fresh simulation) per process, then re-derived 30 days of
-base-domain deltas before the first query could be answered.  The store
-makes both persistent — and since the columnar refactor its on-disk id
+from CSV (or a fresh simulation) per process, then PSL-parsed every
+entry again before the first query could be answered.  The store makes
+the lists and their base domains persistent — and its on-disk id
 space *is* the shared :class:`~repro.interning.DomainInterner`'s, not a
 private per-shard string table:
 
@@ -28,12 +28,11 @@ private per-shard string table:
   append-time stamp, seeds the interner's base-id column from the stored
   bases.  Every snapshot then loads as a pure id column
   (:meth:`~repro.providers.base.ListSnapshot.from_ids`): **no domain
-  string is materialised per day**, and
-  :meth:`ArchiveStore.load_archive` warm-starts the
-  :mod:`repro.core.cache` delta engine by integer refcount replay
-  (:func:`~repro.core.cache.seed_base_id_sets`).  Seeding is skipped
-  (never wrong, just cold) when the default PSL has changed since
-  append time.
+  string is materialised per day**.  Per-day base-domain sets come from
+  the one :mod:`repro.core.cache` delta engine, which on a seeded column
+  resolves every id by array index and PSL-parses nothing.  Seeding is
+  skipped (never wrong, just slower) when the default PSL has changed
+  since append time.
 * **Reports.**  Byte-reproducible :class:`~repro.scenarios.runner.ScenarioReport`
   JSON documents are stored alongside the shards, so the query API serves
   them as static bytes instead of re-running scenarios per request.
@@ -75,7 +74,6 @@ from typing import Iterable, Iterator, Mapping, Optional
 import numpy as np
 
 from repro import faults
-from repro.core.cache import seed_base_id_sets
 from repro.obs import logging as obslog
 from repro.obs import metrics
 from repro.domain.psl import default_list
@@ -1041,8 +1039,8 @@ class ArchiveStore:
 
     def _replay(self, provider: str, manifest: Optional[dict] = None,
                 after: Optional[int] = None
-                ) -> Iterator[tuple[int, int, array]]:
-        """Yield ``(ordinal, psl_version, entry_gids)`` per stored day.
+                ) -> Iterator[tuple[int, array]]:
+        """Yield ``(ordinal, entry_gids)`` per stored day.
 
         ``entry_gids`` is a rank-ordered process-id column, inflated and
         translated chunk by chunk (one transient chunk-sized array at a
@@ -1067,12 +1065,11 @@ class ArchiveStore:
                 raise StoreError(f"manifest names missing shard {path}")
             expected = self._shard_records(provider, month, manifest)
             records = 0
-            for ordinal, psl_version, chunks, _ in _iter_shard_records(
+            for ordinal, _, chunks, _ in _iter_shard_records(
                     _shard_view(path), path, expected):
                 records += 1
                 if after is None or ordinal > after:
-                    yield (ordinal, psl_version,
-                           self._translate(chunks, gid_table))
+                    yield ordinal, self._translate(chunks, gid_table)
             if records < expected:
                 raise StoreError(
                     f"{path}: holds {records} records, manifest expects {expected}")
@@ -1083,7 +1080,7 @@ class ArchiveStore:
 
         With ``after``, only the snapshots dated after it are decoded.
         """
-        for ordinal, _, entry_gids in self._replay(
+        for ordinal, entry_gids in self._replay(
                 provider, after=None if after is None else after.toordinal()):
             yield ListSnapshot.from_ids(provider=provider,
                                         date=dt.date.fromordinal(ordinal),
@@ -1153,90 +1150,40 @@ class ArchiveStore:
                 rank_base += len(chunk)
         return None
 
-    def load_archive(self, provider: str, warm: bool = True) -> ListArchive:
+    def load_archive(self, provider: str) -> ListArchive:
         """Rebuild the provider's full archive, without materialising strings.
 
-        With ``warm`` (the default) the per-day base-domain **id** sets
-        are replayed from the stored bases — a pure integer refcount pass
-        over the pre-seeded base-id column — and installed into the
-        archive's :mod:`repro.core.cache` entry, so the delta engine
-        starts hot.  Seeding is skipped when the default PSL version no
-        longer matches the one recorded at append time (the stored bases
-        would be stale); the archive itself is always exact.
+        Each stored day becomes a pure id column
+        (:meth:`~repro.providers.base.ListSnapshot.from_ids`); no derived
+        cache is installed.  The per-day base-domain sets come from the
+        one :mod:`repro.core.cache` delta engine on first demand, and on
+        a store whose PSL stamp matches they resolve through the base-id
+        column that opening the store seeded from the stored bases, so
+        no entry is PSL-parsed.
         """
         start = time.perf_counter()
         manifest = self._manifest
         if provider not in manifest["providers"]:
             raise KeyError(f"no archive stored for provider {provider!r}")
-        psl = default_list()
-        interner = default_interner()
-        base_id = interner.base_column(psl).base_id
-        boxed = interner.boxed
-        snapshots: list[ListSnapshot] = []
-        per_day: dict[dt.date, frozenset[int]] = {}
-        counts: dict[int, int] = {}
-        prev_ids: Optional[frozenset[int]] = None
-        prev_frozen: frozenset[int] = frozenset()
-        warmable = warm
-        for ordinal, psl_version, entry_gids in self._replay(provider, manifest):
-            date = dt.date.fromordinal(ordinal)
-            snapshot = ListSnapshot.from_ids(provider=provider, date=date,
-                                             ids=entry_gids)
-            snapshots.append(snapshot)
-            if not warmable:
-                continue
-            if psl_version != psl.version:
-                # Some record predates the current rule set: its table
-                # bases were stamped stale, so the column was not seeded.
-                warmable = False
-                continue
-            # Transient set, NOT snapshot.id_set(): the cached form would
-            # pin every day's full-size frozenset from load on — the
-            # delta below only ever needs a two-day window, and analyses
-            # that want per-day sets build (and cache) them lazily.
-            current = interner.id_set(entry_gids)
-            if prev_ids is None:
-                for gid in entry_gids:
-                    base = boxed[base_id(gid)]
-                    counts[base] = counts.get(base, 0) + 1
-                frozen = frozenset(counts)
-            else:
-                removed = prev_ids - current
-                added = current - prev_ids
-                if removed or added:
-                    for gid in removed:
-                        base = boxed[base_id(gid)]
-                        remaining = counts[base] - 1
-                        if remaining:
-                            counts[base] = remaining
-                        else:
-                            del counts[base]
-                    for gid in added:
-                        base = boxed[base_id(gid)]
-                        counts[base] = counts.get(base, 0) + 1
-                    frozen = frozenset(counts)
-                else:
-                    frozen = prev_frozen
-            per_day[date] = frozen
-            prev_ids = current
-            prev_frozen = frozen
+        snapshots = [
+            ListSnapshot.from_ids(provider=provider,
+                                  date=dt.date.fromordinal(ordinal),
+                                  ids=entry_gids)
+            for ordinal, entry_gids in self._replay(provider, manifest)]
         archive = ListArchive.from_snapshots(snapshots, provider=provider)
-        if warmable and len(per_day) == len(snapshots):
-            seed_base_id_sets(archive, per_day, psl=psl)
         duration = time.perf_counter() - start
         _M_ARCHIVE_LOADS.inc()
         _M_ARCHIVE_LOAD_SECONDS.observe(duration)
         obslog.log_event(
             "store.load_archive", level="debug", provider=provider,
-            days=len(snapshots), warm_started=warmable and bool(per_day),
-            duration_ms=round(duration * 1000.0, 3))
+            days=len(snapshots), duration_ms=round(duration * 1000.0, 3))
         return archive
 
-    def load_archives(self, providers: Optional[Iterable[str]] = None,
-                      warm: bool = True) -> dict[str, ListArchive]:
+    def load_archives(self, providers: Optional[Iterable[str]] = None
+                      ) -> dict[str, ListArchive]:
         """Load several providers' archives (default: all stored)."""
         names = tuple(providers) if providers is not None else self.providers()
-        return {name: self.load_archive(name, warm=warm) for name in names}
+        return {name: self.load_archive(name) for name in names}
 
     # -- scenario reports -------------------------------------------------
     def _report_path(self, profile: str) -> Path:

@@ -15,11 +15,11 @@ import pytest
 
 from repro.core.cache import (
     archive_base_id_sets,
-    archive_domain_sets,
+    archive_id_sets,
     archive_rank_series_ids,
     archive_sld_count_events,
     counts_per_day,
-    snapshot_base_domains,
+    snapshot_base_ids,
 )
 from repro.core.structure import normalise_to_base_domains
 from repro.domain.name import DomainName
@@ -63,28 +63,33 @@ def archive() -> ListArchive:
     return _make_archive()
 
 
+def snapshot_base_names(snapshot: ListSnapshot, **kwargs) -> frozenset:
+    """A snapshot's base-domain *name* set from its cached base-id set."""
+    return frozenset(default_interner().domains(snapshot_base_ids(snapshot, **kwargs)))
+
+
 class TestSnapshotBaseDomains:
     def test_matches_naive(self, archive):
         snapshot = archive[0]
-        assert snapshot_base_domains(snapshot) == frozenset(
+        assert snapshot_base_names(snapshot) == frozenset(
             normalise_to_base_domains(snapshot.entries))
 
     def test_cached_identity(self, archive):
         snapshot = archive[0]
-        assert snapshot_base_domains(snapshot) is snapshot_base_domains(snapshot)
+        assert snapshot_base_ids(snapshot) is snapshot_base_ids(snapshot)
 
     def test_psl_version_keyed(self):
         snapshot = ListSnapshot(provider="p", date=START,
                                 entries=("a.faketld", "b.faketld"))
         psl = PublicSuffixList(["com"])
-        before = snapshot_base_domains(snapshot, psl=psl)
+        before = snapshot_base_names(snapshot, psl=psl)
         assert before == frozenset({"a.faketld", "b.faketld"})
         psl.add_rule("faketld")
-        after = snapshot_base_domains(snapshot, psl=psl)
+        after = snapshot_base_names(snapshot, psl=psl)
         assert after == frozenset({"a.faketld", "b.faketld"})
         # Same answer, recomputed under the new version key; the
         # superseded generation is evicted rather than retained.
-        cache = snapshot.__dict__["_base_domain_sets"]
+        cache = snapshot.__dict__["_base_id_sets"]
         assert len(cache) == 1 and next(iter(cache)) == psl.cache_key
 
 
@@ -109,6 +114,18 @@ class TestArchiveBaseDomainSets:
         values = list(archive_base_id_sets(archive).values())
         assert values[0] is values[1] is values[2]
         assert set(default_interner().domains(values[0])) == {"a.com", "b.net"}
+
+    @pytest.mark.parametrize("top_n", [None, 40])
+    def test_caches_no_per_day_id_set(self, top_n):
+        # The delta needs a two-day window of raw id sets; caching each
+        # day's full set on its snapshot would pin all of them for the
+        # archive's lifetime.
+        fresh = _make_archive(seed=11)
+        archive_base_id_sets(fresh, top_n=top_n)
+        for snapshot in fresh:
+            head = snapshot.top(top_n) if top_n else snapshot
+            assert "_id_set" not in snapshot.__dict__, snapshot.date
+            assert "_id_set" not in head.__dict__, snapshot.date
 
     def test_shared_base_refcounting(self):
         # Day 2 drops www.a.com but keeps a.com: the base must survive.
@@ -184,9 +201,11 @@ class TestArchiveBaseDomainSets:
 
 class TestArchiveDomainSets:
     def test_matches_snapshots(self, archive):
-        sets = archive_domain_sets(archive, top_n=25)
+        sets = archive_id_sets(archive, top_n=25)
+        names = default_interner().domains
         for snapshot in archive:
-            assert sets[snapshot.date] == frozenset(snapshot.entries[:25])
+            assert frozenset(names(sets[snapshot.date])) == \
+                frozenset(snapshot.entries[:25])
 
 
 class TestSldCountEvents:

@@ -23,7 +23,7 @@ EXPECTED_OUTPUT = {
     "rank_manipulation.py": ("Umbrella rank injection", "TTL sweep",
                              "Majestic backlink purchasing", "Alexa toolbar telemetry"),
     "analyze_real_lists.py": ("Archive summary", "Structure of the latest snapshot"),
-    "serve_archive.py": ("Archive store", "Warm-started reload", "Rank history",
+    "serve_archive.py": ("Archive store", "Reloaded archives", "Rank history",
                          "Query API"),
 }
 

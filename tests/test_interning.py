@@ -20,11 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import (
-    archive_base_id_sets,
-    snapshot_base_domains,
-    snapshot_base_ids,
-)
+from repro.core.cache import archive_base_id_sets, snapshot_base_ids
 from repro.core.intersection import intersection_over_time
 from repro.core.structure import normalise_to_base_domains
 from repro.domain.psl import PublicSuffixList
@@ -205,9 +201,7 @@ class TestIdStringSetOpParity:
                 assert frozenset(interner.domains(snapshot.id_set())) == \
                     snapshot.domain_set()
                 assert frozenset(interner.domains(snapshot_base_ids(snapshot))) == \
-                    snapshot_base_domains(snapshot)
-                assert snapshot_base_domains(snapshot) == frozenset(
-                    normalise_to_base_domains(snapshot.entries))
+                    frozenset(normalise_to_base_domains(snapshot.entries))
 
     @pytest.mark.parametrize("top_n", [None, 60])
     def test_archive_base_sets_biject(self, archives, top_n):
@@ -229,7 +223,7 @@ class TestIdStringSetOpParity:
                 sets = []
                 for name in names:
                     head = archives[name][date].top(80)
-                    sets.append(snapshot_base_domains(head) if normalise
-                                else head.domain_set())
+                    sets.append(normalise_to_base_domains(head.entries)
+                                if normalise else head.domain_set())
                 expected = set.intersection(*(set(s) for s in sets))
                 assert count == len(expected), (date, names)

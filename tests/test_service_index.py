@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import snapshot_base_domains
+from repro.core.cache import snapshot_base_ids
+from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service.index import DomainIndex
 from repro.service.store import ArchiveStore
@@ -70,10 +71,14 @@ def _scan_history(archive: ListArchive, domain: str,
     return observations
 
 
+def snapshot_base_names(snapshot: ListSnapshot) -> frozenset[str]:
+    return frozenset(default_interner().domains(snapshot_base_ids(snapshot)))
+
+
 def _scan_base_intervals(archive: ListArchive, base: str):
     intervals, entered, last_present = [], None, None
     for snapshot in archive:
-        present = base in snapshot_base_domains(snapshot)
+        present = base in snapshot_base_names(snapshot)
         if present:
             if entered is None:
                 entered = snapshot.date
@@ -106,7 +111,7 @@ def _assert_parity(index: DomainIndex, archive: ListArchive,
             scan_rank = next((r for d, r in expected if d == date), None)
             assert index.rank_on(domain, provider, date) == scan_rank
     bases = {base for snapshot in archive
-             for base in snapshot_base_domains(snapshot)}
+             for base in snapshot_base_names(snapshot)}
     for base in sorted(bases) + ["never-listed.example"]:
         assert (index.base_intervals(base, provider)
                 == _scan_base_intervals(archive, base)), base
@@ -164,7 +169,7 @@ def _assert_same_index(got: DomainIndex, want: DomainIndex,
     """Every domain's postings array and every base interval agree."""
     assert _provider_state(got) == _provider_state(want)
     for base in sorted({base for snapshot in archive
-                        for base in snapshot_base_domains(snapshot)}):
+                        for base in snapshot_base_names(snapshot)}):
         assert got.base_intervals(base, "prop") == \
             want.base_intervals(base, "prop"), base
 

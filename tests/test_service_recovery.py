@@ -47,7 +47,7 @@ def _snapshot(day: int, entries) -> ListSnapshot:
 
 
 def _assert_matches(store: ArchiveStore, expected: list[ListSnapshot]) -> None:
-    """Dates, string lane, id lane and warm base sets all match."""
+    """Dates, string lane, id lane and base sets all match."""
     assert store.dates("alexa") == [s.date for s in expected]
     loaded = store.load_archive("alexa")
     interner = default_interner()
@@ -56,7 +56,7 @@ def _assert_matches(store: ArchiveStore, expected: list[ListSnapshot]) -> None:
         assert got.entries == want.entries
         assert interner.domains(got.entry_ids()) == want.entries
         assert got.id_set() == want.id_set()
-    # The replayed warm start equals a from-scratch delta computation.
+    # The loaded archive's base sets equal a from-scratch computation.
     fresh = ListArchive.from_snapshots(
         [ListSnapshot("alexa", s.date, s.entries) for s in expected])
     assert dict(archive_base_id_sets(loaded)) == \

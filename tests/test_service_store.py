@@ -4,8 +4,11 @@ import datetime as dt
 
 import pytest
 
+from repro import interning
 from repro.core.cache import archive_base_id_sets
+from repro.core.structure import normalise_to_base_domains
 from repro.domain.psl import default_list
+from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.scenarios.runner import ScenarioReport
 from repro.service.store import ArchiveStore, StoreError
@@ -70,38 +73,87 @@ class TestRoundTrip:
         assert store.dates("nosuch") == []
 
 
+def _base_name_sets(archive: ListArchive) -> dict:
+    names = default_interner().domains
+    return {date: frozenset(names(ids))
+            for date, ids in archive_base_id_sets(archive).items()}
+
+
+def _naive_base_name_sets(archive: ListArchive) -> dict:
+    return {snapshot.date: frozenset(normalise_to_base_domains(snapshot.entries))
+            for snapshot in archive}
+
+
 class TestWarmStart:
-    def test_loaded_archive_is_pre_seeded(self, store_root, small_run):
-        store = ArchiveStore(store_root)
-        loaded = store.load_archive("majestic", warm=True)
-        cache = loaded.__dict__.get("_analysis_cache", {})
-        assert any(key[0] == "base-domain-sets" for key in cache), \
-            "warm load must seed the delta engine"
+    """A reopened store starts with its base-id column seeded.
+
+    Opening a store seeds the interner's base-id column from the stored
+    bases when the PSL version matches, so the one delta engine answers
+    a loaded archive's base sets by array lookups alone.  Loading itself
+    installs no derived cache.
+    """
+
+    def test_loaded_archive_is_pre_seeded(self, tmp_path, monkeypatch):
+        # Names no other test uses; a fresh interner then stands in for
+        # a new reader process, where nothing is resolved yet.
+        archive = ListArchive.from_snapshots([
+            _snapshot("alexa", day, [f"{host}.s{i}.preseed-{day % 2}.example"
+                                     for i in range(6) for host in ("www", "cdn")])
+            for day in range(4)])
+        ArchiveStore(tmp_path / "s").append_archive(archive)
+        monkeypatch.setattr(interning, "_DEFAULT_INTERNER",
+                            interning.DomainInterner())
+        parsed = []
+        base_of = interning.base_of
+
+        def counting_base_of(name, psl):
+            parsed.append(name)
+            return base_of(name, psl)
+
+        monkeypatch.setattr(interning, "base_of", counting_base_of)
+        loaded = ArchiveStore(tmp_path / "s").load_archive("alexa")
+        sets = _base_name_sets(loaded)
+        assert parsed == []
+        assert sets == _naive_base_name_sets(archive)
 
     def test_seeded_sets_match_recomputation(self, store_root, small_run):
         store = ArchiveStore(store_root)
         for name, original in small_run.archives.items():
-            seeded = archive_base_id_sets(store.load_archive(name, warm=True))
+            loaded = archive_base_id_sets(store.load_archive(name))
             fresh = archive_base_id_sets(original)
-            assert dict(seeded) == dict(fresh), name
+            assert dict(loaded) == dict(fresh), name
 
     def test_cold_load_has_no_seed(self, store_root):
         store = ArchiveStore(store_root)
-        loaded = store.load_archive("alexa", warm=False)
+        loaded = store.load_archive("alexa")
         assert "_analysis_cache" not in loaded.__dict__
 
-    def test_psl_change_skips_seeding_but_not_data(self, tmp_path, small_run):
-        # Stored base ids are stamped with the PSL version at append time;
-        # after a rule change they may be stale, so warm loading must fall
-        # back to a cold (still correct) archive.
-        original = small_run.archives["alexa"]
+    def test_base_sets_cache_no_per_day_id_set(self, store_root):
+        loaded = ArchiveStore(store_root).load_archive("majestic")
+        archive_base_id_sets(loaded)
+        for snapshot in loaded:
+            assert "_id_set" not in snapshot.__dict__, snapshot.date
+
+    def test_psl_change_skips_seeding_but_not_data(self, tmp_path):
+        # Stored bases are stamped with the PSL version at append time.
+        # The rule added here changes the base of www.shop1, so a store
+        # that seeded its stale bases would answer wrongly.
+        original = ListArchive.from_snapshots([
+            _snapshot("alexa", day, [f"www.shop{i}.psl-change.example"
+                                     for i in range(day, day + 4)]
+                      + ["shop0.psl-change.example"])
+            for day in range(3)])
         store = ArchiveStore(tmp_path / "pslstore")
         store.append_archive(original)
-        default_list().add_rule("store-warmth-test")
+        stale = _base_name_sets(original)
+        default_list().add_rule("shop1.psl-change.example")
         reopened = ArchiveStore(tmp_path / "pslstore")
-        loaded = reopened.load_archive("alexa", warm=True)
-        assert "_analysis_cache" not in loaded.__dict__
+        loaded = reopened.load_archive("alexa")
         assert [s.entries for s in loaded] == [s.entries for s in original]
+        fresh = _naive_base_name_sets(original)
+        assert _base_name_sets(loaded) == fresh
+        assert fresh != stale
+        assert "www.shop1.psl-change.example" in fresh[original.dates()[0]]
 
 
 class TestAppendRules:
@@ -159,7 +211,8 @@ class TestAppendRules:
     def test_unflushed_append_is_discarded_on_reopen(self, tmp_path):
         # A crash between the shard write and the manifest flush must not
         # resurrect the orphan record: the manifest is the durable truth,
-        # re-appending the "lost" day succeeds, and warm starts survive.
+        # re-appending the "lost" day succeeds, and the base sets are
+        # computed over exactly the published days.
         store = ArchiveStore(tmp_path / "s")
         store.append(_snapshot("alexa", 0, ["a.com", "b.com"]))
         store.append(_snapshot("alexa", 1, ["b.com", "c.com"]), sync=False)
@@ -170,8 +223,9 @@ class TestAppendRules:
         reopened.append(_snapshot("alexa", 1, ["c.com", "d.com"]))
         final = ArchiveStore(tmp_path / "s").load_archive("alexa")
         assert [s.entries for s in final] == [("a.com", "b.com"), ("c.com", "d.com")]
-        cache = final.__dict__.get("_analysis_cache", {})
-        assert any(key[0] == "base-domain-sets" for key in cache)
+        assert _base_name_sets(final) == _naive_base_name_sets(final) == {
+            final.dates()[0]: frozenset({"a.com", "b.com"}),
+            final.dates()[1]: frozenset({"c.com", "d.com"})}
 
     def test_report_save_bumps_only_store_version(self, tmp_path):
         store = ArchiveStore(tmp_path / "s")
