@@ -6,8 +6,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 STORE ?= .repro-store
 
-.PHONY: test test-scale golden-test goldens chaos bench bench-suite \
-	smoke-scaleout store serve
+.PHONY: test test-scale golden-test goldens chaos concurrency scale-out \
+	bench bench-suite smoke-scaleout store serve
 
 ## Tier-1 test suite (what CI runs on every push).
 test:
@@ -40,6 +40,21 @@ chaos:
 		tests/test_faults.py tests/test_util_retry.py \
 		tests/test_service_replica.py tests/test_service_chaos.py \
 		tests/test_service_balance.py tests/test_obs.py
+
+## Live-append stress, crash-recovery, wire-fuzz and balancer suites.
+## CI's concurrency job runs this target, so the file list lives only here.
+concurrency:
+	$(PYTHON) -m pytest -q -m "not golden" \
+		tests/test_service_concurrency.py tests/test_service_recovery.py \
+		tests/test_service_fuzz.py tests/test_service_balance.py
+
+## Worker-pool, balancer, keep-alive, event-loop and shared-cache wire
+## suites.  CI's scale-out job runs this target after smoke-scaleout, so
+## the file list lives only here.
+scale-out:
+	$(PYTHON) -m pytest -q tests/test_service_workers.py \
+		tests/test_service_balance.py tests/test_service_keepalive.py \
+		tests/test_service_eventloop.py tests/test_shared_cache.py
 
 ## The deployed-path benchmark (client -> repro-serve balance -> worker
 ## pool -> store) on both workloads BENCHMARK.json declares, 30 s each

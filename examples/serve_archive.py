@@ -11,9 +11,11 @@ Run with::
 
     python examples/serve_archive.py
 
-then serve the same store for real with::
+The store lives in a temporary directory that is removed on exit; to
+serve a store for real over HTTP, build one and serve it with::
 
-    python -m repro.service.cli serve --store <printed store path>
+    python -m repro.service.cli init --store /tmp/s
+    python -m repro.service.cli serve --store /tmp/s
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ def main() -> None:
     config = SimulationConfig.small(alexa_change_day=9)
     print(f"Simulating {config.n_days} days over {config.total_domains()} domains ...")
     run = run_simulation(config)
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as tmp:
+        _tour(config, run, Path(tmp) / "store")
 
-    store_dir = Path(tempfile.mkdtemp(prefix="repro-store-")) / "store"
+
+def _tour(config: SimulationConfig, run, store_dir: Path) -> None:
     # The context manager flushes batched tails and rewrites the manifest
     # durably on every exit path — the idiom all store users should copy.
     with ArchiveStore.from_archives(store_dir, run.archives) as store:

@@ -22,7 +22,9 @@ column instead of a string memo.
 * :func:`extend_base_id_sets` is the live-append entry point: it adds a
   snapshot to an archive while carrying the cached per-day base-id
   mappings forward by one day instead of letting ``archive.add`` drop
-  them (the serving layer's ``/v1/ingest`` path).
+  them (the serving layer's one adoption step,
+  ``QueryService._refresh``, calls it for every day appended after the
+  loaded tail).
 * :func:`archive_sld_count_events` tracks per-day SLD-group membership
   counts as change events (day index, new count), again delta-driven.
 * :func:`archive_rank_series_ids` / :func:`archive_rank_partition_ids`

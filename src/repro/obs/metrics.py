@@ -228,10 +228,6 @@ class Histogram(_Instrument):
     def observe(self, value: float) -> None:
         self._default().observe(value)
 
-    def child_values(self, **labels: str) -> Tuple[List[int], float, int]:
-        child = self.labels(**labels) if labels else self._default()
-        return list(child.counts), child.sum, child.count
-
 
 #: An extra family injected at render time: (name, kind, help, samples)
 #: where samples is a sequence of (labels-mapping, value).  Used for

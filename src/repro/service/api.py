@@ -47,12 +47,17 @@ once.
 the materialised archives and index, and the version the cache key is
 derived from — so the service is safe to call from the serving loop
 and from a replica or store-tailer thread at once.  A cache key's
-version and its body are read/produced inside one continuous lock hold,
-and ``/v1/ingest`` mutates under the same lock: store append (durable,
-atomic manifest publish) → incremental delta-engine extension
-(:func:`repro.core.cache.extend_base_id_sets`) → in-process
-:meth:`~repro.service.index.DomainIndex.add`.  Once an ingest response
-is on the wire, every subsequent read observes the new day.
+version and its body are read/produced inside one continuous lock hold.
+``/v1/ingest`` only appends to the store under the same lock (durable,
+atomic manifest publish); it never touches the archives or the index.
+Those change in one place, :meth:`QueryService._refresh`, which every
+read runs first: it adopts whatever days the store holds beyond the
+loaded ones, through the delta engine
+(:func:`repro.core.cache.extend_base_id_sets`) and
+:meth:`~repro.service.index.DomainIndex.add`.  The same tail replay
+serves an in-process ingest, a direct ``store.append``, a follower's
+replicated appends and a pool reader's disk refresh.  Once an ingest
+response is on the wire, every subsequent read observes the new day.
 
 All logic lives in the transport-free :meth:`QueryService.handle_request`,
 which the CLI, tests and benchmarks call directly.  The HTTP layer is
@@ -352,8 +357,6 @@ class QueryService:
         self._ingest_proxy: Optional[str] = None
         #: Cross-worker payload segment (:meth:`attach_shared_cache`).
         self._shared_cache = None
-        self._shared_hits = 0
-        self._shared_fills = 0
         self._result_cache: OrderedDict[tuple[int, str], Response] = OrderedDict()
         self._archives: dict[str, ListArchive] = {}
         self._index = DomainIndex()
@@ -384,10 +387,13 @@ class QueryService:
     def _refresh(self) -> None:
         """Catch the materialised archives/index up with the store.
 
-        Keyed on the store's *data* version, so report saves don't force
-        a reload; new snapshots of an already-loaded provider are applied
-        incrementally (``archive.add`` + ``index.add``) instead of
-        re-replaying the whole corpus.
+        The only code that changes ``_archives`` and ``_index``.  Keyed
+        on the store's *data* version, so report saves don't force a
+        reload; days after an already-loaded provider's tail are applied
+        incrementally (:func:`extend_base_id_sets` + ``index.add``)
+        instead of re-replaying the whole corpus, wherever the append
+        came from (this service's ingest, a direct ``store.append``, a
+        replica, or another process via :meth:`refresh_from_disk`).
         """
         with self._lock:
             if self._loaded_version == self.store.data_version:
@@ -469,10 +475,9 @@ class QueryService:
 
         The pool read-worker discovery path: :meth:`ArchiveStore.refresh`
         re-reads the manifest (atomic — old or new, never torn) and
-        extends the table state incrementally; the ordinary
-        :meth:`_refresh` then catches the archives/index up through the
-        same ``extend_base_id_sets`` + ``DomainIndex.add`` tail replay
-        an in-process ingest uses.  Returns whether new versions were
+        extends the table state incrementally; :meth:`_refresh` then
+        catches the archives/index up through the same tail replay that
+        adopts an in-process ingest.  Returns whether new versions were
         adopted.
         """
         with self._lock:
@@ -879,32 +884,24 @@ class QueryService:
         return families
 
     def ingest(self, snapshot: ListSnapshot) -> dict[str, Any]:
-        """Append ``snapshot`` live: store → delta engine → index.
+        """Append ``snapshot`` to the store live and report the new version.
 
-        Everything runs under the service lock, so the moment this
-        returns, every reader (history, stability, compare, meta)
-        observes the new day — no restart, no archive re-replay.  The
-        store append is durable (fsynced tails, atomic manifest publish)
-        before any in-process state is touched; a failed append leaves
-        the service exactly as it was.
+        Validate, append, respond: the archives and the index are left
+        alone, and the next read adopts the day through :meth:`_refresh`
+        like any other append.  The append runs under the service lock,
+        so no read can key a body on the old version after the store
+        moved; the moment this returns, every reader (history,
+        stability, compare, meta) observes the new day.  The append is
+        durable (fsynced tails, atomic manifest publish) before it is
+        visible; a failed append leaves the service exactly as it was.
         """
         with self._lock:
-            self._refresh()
             try:
                 self.store.append(snapshot)
             except StoreConflictError as error:
                 raise ApiError(409, str(error)) from None
             except StoreError as error:
                 raise ApiError(400, str(error)) from None
-            archive = self._archives.get(snapshot.provider)
-            if archive is None:
-                self._archives[snapshot.provider] = \
-                    ListArchive.from_snapshots([snapshot])
-            else:
-                extend_base_id_sets(archive, snapshot)
-            if self._index.last_date(snapshot.provider) != snapshot.date:
-                self._index.add(snapshot)
-            self._loaded_version = self.store.data_version
             entries = len(snapshot)
             _M_INGEST_DAYS.inc()
             _M_INGEST_ROWS.inc(entries)
@@ -1079,7 +1076,6 @@ class QueryService:
                     # them (and their ETag) without re-routing, and seed
                     # this process's LRU so the next read is a dict hit.
                     body, etag = found
-                    self._shared_hits += 1
                     response = Response(200, body, {
                         "Content-Type": "application/json; charset=utf-8",
                         "ETag": etag,
@@ -1112,8 +1108,7 @@ class QueryService:
                 # Publish after the local insert: a racing worker putting
                 # the same key appends identical bytes (determinism per
                 # version), so ordering does not matter for correctness.
-                if shared.put(version, canonical, body, etag):
-                    self._shared_fills += 1
+                shared.put(version, canonical, body, etag)
         return response
 
     def _answer_post(self, target: str, headers: Optional[Mapping[str, str]],

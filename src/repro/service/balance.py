@@ -234,10 +234,6 @@ class Balancer:
         self._threads: list[threading.Thread] = []
 
     # -- rotation ---------------------------------------------------------
-    def _admitted(self) -> list[Backend]:
-        with self._lock:
-            return [b for b in self.backends if b.admitted]
-
     def pick(self) -> Optional[Backend]:
         """Next admitted backend (round-robin), or ``None`` if all out."""
         with self._lock:

@@ -51,13 +51,6 @@ class DomainLongevity:
     first_seen: Optional[dt.date]
     last_seen: Optional[dt.date]
 
-    @property
-    def span_days(self) -> int:
-        """Days between first and last sighting, inclusive (0 if never seen)."""
-        if self.first_seen is None or self.last_seen is None:
-            return 0
-        return (self.last_seen - self.first_seen).days + 1
-
 
 def _bisect_postings(postings: array, ordinal: int) -> int:
     """First pair index whose date ordinal is ``>= ordinal``.
@@ -252,18 +245,6 @@ class DomainIndex:
         """Distinct domains ever indexed for ``provider``."""
         state = self._providers.get(provider)
         return len(state.observations) if state else 0
-
-    def last_date(self, provider: str) -> Optional[dt.date]:
-        """The newest indexed date of ``provider`` (``None`` when empty).
-
-        The live-append path checks this before wiring a freshly ingested
-        snapshot in, so a double-apply is rejected by :meth:`add` rather
-        than silently double-counted.
-        """
-        state = self._providers.get(provider)
-        if state is None or not state.dates:
-            return None
-        return dt.date.fromordinal(state.dates[-1])
 
     # -- queries ----------------------------------------------------------
     def _postings(self, domain: str, provider: str) -> array:

@@ -23,6 +23,14 @@ truncates them, ``store.version`` falls back to the durable truth, and
 the next sync re-fetches from there — re-appending the same entries at
 the truncated EOF reproduces the same bytes.  Entries at or below the
 local version are skipped, so re-delivered batches are idempotent.
+
+:class:`StoreTailer` is the disk-only variant a pool read worker runs:
+the writer process has already appended, so a cycle just re-reads the
+manifest (:meth:`~repro.service.api.QueryService.refresh_from_disk`).
+Both classes share one ``status()`` / ``ready()`` / ``run()``, and
+neither touches a query service's archives or index: the service adopts
+new days on its next read, through
+:meth:`~repro.service.api.QueryService._refresh`.
 """
 
 from __future__ import annotations
@@ -42,10 +50,9 @@ from repro.obs import logging as obslog
 from repro.obs import metrics, tracing
 from repro.providers.base import ListSnapshot
 from repro.service.api import json_bytes
-from repro.service.store import ArchiveStore
+from repro.service.store import ArchiveStore, StoreError
 from repro.util.retry import (
     CircuitBreaker,
-    CircuitOpenError,
     RetryExhaustedError,
     RetryPolicy,
     call_with_retry,
@@ -112,13 +119,81 @@ def http_fetcher(base_url: str,
     return fetch
 
 
-class Replica:
+class _Tail:
+    """What :class:`Replica` and :class:`StoreTailer` share: the status
+    ``/v1/health`` renders, readiness, and the polling loop.
+
+    A subclass supplies ``sync_once()`` (one cycle; returns entries or
+    versions applied, records failures in ``_last_error``),
+    ``_leader()`` (the version to catch up with, ``None`` while
+    unknown) and ``_extra_status()`` (its own status fields).
+    :meth:`status` is safe from any thread (the health endpoint calls it
+    concurrently with a sync cycle).
+    """
+
+    def __init__(self, store: ArchiveStore, max_staleness: int) -> None:
+        self.store = store
+        #: Largest ``leader - local`` version gap :meth:`ready` accepts.
+        self.max_staleness = max_staleness
+        self._lock = threading.Lock()
+        self._last_error: Optional[BaseException] = None
+        self._sync_cycles = 0
+        self._applied_total = 0
+
+    def status(self) -> dict[str, Any]:
+        """Staleness and degraded-mode flags (the health payload body)."""
+        with self._lock:
+            last_error = self._last_error
+            cycles = self._sync_cycles
+            applied = self._applied_total
+        leader_version = self._leader()
+        local = self.store.version
+        staleness = (None if leader_version is None
+                     else max(0, leader_version - local))
+        return {
+            "leader_version": leader_version,
+            "local_version": local,
+            "staleness": staleness,
+            "max_staleness": self.max_staleness,
+            "last_error": (f"{type(last_error).__name__}: {last_error}"
+                           if last_error is not None else None),
+            "sync_cycles": cycles,
+            "entries_applied": applied,
+            **self._extra_status(),
+        }
+
+    def staleness(self) -> Optional[int]:
+        """Versions behind the leader (``None`` before it is known)."""
+        return self.status()["staleness"]
+
+    def ready(self) -> bool:
+        """Whether this node should take read traffic."""
+        staleness = self.staleness()
+        return staleness is not None and staleness <= self.max_staleness
+
+    def run(self, stop: threading.Event, poll_interval: float = 1.0) -> None:
+        """Sync every ``poll_interval`` seconds until ``stop`` is set.
+
+        The ``repro-serve serve --follow`` loop and a pool reader's
+        refresh thread.  A failed cycle is recorded (health reports it as
+        degraded) and retried next tick; an injected crash is a
+        ``BaseException`` and propagates — a simulated process death must
+        kill the loop, not be absorbed by it.
+        """
+        while not stop.is_set():
+            try:
+                self.sync_once()
+            except Exception:  # noqa: BLE001 — recorded in status()
+                pass
+            stop.wait(poll_interval)
+
+
+class Replica(_Tail):
     """Tail one leader's mutation log into a local follower store.
 
     ``fetch(since, limit)`` returns the leader's replication payload
     (``{"store_version", "entries", "remaining", ...}``).  One replica
-    owns its store's write side; :meth:`status` is safe from any thread
-    (the health endpoint calls it concurrently with a sync cycle).
+    owns its store's write side.
     """
 
     def __init__(self, store: ArchiveStore,
@@ -131,55 +206,25 @@ class Replica:
                  rng: Optional[random.Random] = None,
                  clock: Callable[[], float] = time.monotonic,
                  sleep: Callable[[float], None] = time.sleep) -> None:
-        self.store = store
+        super().__init__(store, max_staleness)
         self.policy = policy if policy is not None else RetryPolicy(
             max_attempts=5, base_delay=0.02, max_delay=0.5)
         self.breaker = breaker if breaker is not None else CircuitBreaker(
             failure_threshold=8, reset_timeout=5.0, clock=clock)
         self.batch = batch
-        #: Largest ``leader_version - local_version`` :meth:`ready` accepts.
-        self.max_staleness = max_staleness
         self._fetch = fetch
         self._rng = rng if rng is not None else random.Random()
         self._clock = clock
         self._sleep = sleep
-        self._lock = threading.Lock()
         self._leader_version: Optional[int] = None
-        self._last_error: Optional[BaseException] = None
-        self._sync_cycles = 0
-        self._applied_total = 0
 
     # -- observability ----------------------------------------------------
-    def status(self) -> dict[str, Any]:
-        """Staleness and degraded-mode flags (the health payload body)."""
-        with self._lock:
-            leader_version = self._leader_version
-            last_error = self._last_error
-            cycles = self._sync_cycles
-            applied = self._applied_total
-        local = self.store.version
-        staleness = (None if leader_version is None
-                     else max(0, leader_version - local))
-        return {
-            "leader_version": leader_version,
-            "local_version": local,
-            "staleness": staleness,
-            "max_staleness": self.max_staleness,
-            "breaker": self.breaker.state,
-            "last_error": (f"{type(last_error).__name__}: {last_error}"
-                           if last_error is not None else None),
-            "sync_cycles": cycles,
-            "entries_applied": applied,
-        }
+    def _leader(self) -> Optional[int]:
+        """The leader version the last fetch reported."""
+        return self._leader_version
 
-    def staleness(self) -> Optional[int]:
-        """Versions behind the last-seen leader (``None`` before a sync)."""
-        return self.status()["staleness"]
-
-    def ready(self) -> bool:
-        """Whether this follower should take read traffic."""
-        staleness = self.staleness()
-        return staleness is not None and staleness <= self.max_staleness
+    def _extra_status(self) -> dict[str, Any]:
+        return {"breaker": self.breaker.state}
 
     # -- the tail loop ----------------------------------------------------
     def _fetch_batch(self) -> Mapping[str, Any]:
@@ -312,21 +357,6 @@ class Replica:
             f"still {self.staleness()} versions behind after "
             f"{attempts} sync cycles")
 
-    def run(self, stop: threading.Event, poll_interval: float = 1.0) -> None:
-        """Tail forever (the ``repro-serve serve --follow`` loop).
-
-        Sync failures are recorded (health reports them as degraded) and
-        retried next tick; an injected crash propagates — a simulated
-        process death must kill the loop, not be absorbed by it.
-        """
-        while not stop.is_set():
-            try:
-                self.sync_once()
-            except (RetryExhaustedError, CircuitOpenError, ReplicaError,
-                    OSError, KeyError, ValueError):
-                pass  # recorded in status(); retried next tick
-            stop.wait(poll_interval)
-
 
 _M_TAILER_REFRESHES = metrics.counter(
     "repro_tailer_refreshes_total",
@@ -337,82 +367,47 @@ _M_TAILER_LAG = metrics.gauge(
     "last disk-tail refresh cycle.")
 
 
-class StoreTailer:
+class StoreTailer(_Tail):
     """Follow versions another *process* publishes to this store's disk.
 
     The worker pool's consistency primitive: the writer process appends
     and publishes the manifest; each read worker runs one ``StoreTailer``
-    that polls :meth:`QueryService.refresh_from_disk` — the same
-    incremental ``extend_base_id_sets`` + ``DomainIndex.add`` path a
-    network follower replays, minus the network (the "log transport" is
-    the shared filesystem, and the shard bytes are already local, so
-    nothing is re-appended — just adopted).
+    that polls :meth:`QueryService.refresh_from_disk`, which adopts new
+    days through the same :meth:`QueryService._refresh` tail replay a
+    network follower's appends go through, minus the network (the "log
+    transport" is the shared filesystem, and the shard bytes are already
+    local, so nothing is re-appended — just adopted).
 
-    Interface-compatible with :class:`Replica` where
-    :meth:`QueryService.attach_replica` consumes it (``status()`` /
-    ``staleness()`` / ``ready()`` / ``run()``), so ``/v1/health`` and
-    ``/v1/ready`` report a read worker's staleness with no new plumbing.
+    Shares :class:`Replica`'s ``status()`` / ``staleness()`` /
+    ``ready()`` / ``run()``, so ``/v1/health`` and ``/v1/ready`` report
+    a read worker's staleness through the same
+    :meth:`QueryService.attach_replica` plumbing.
     """
 
     def __init__(self, service, *, max_staleness: int = 0,
                  clock: Callable[[], float] = time.monotonic) -> None:
+        super().__init__(service.store, max_staleness)
         self.service = service
-        #: Largest ``published - adopted`` version gap ``ready()`` accepts.
-        self.max_staleness = max_staleness
         self._clock = clock
-        self._lock = threading.Lock()
-        self._refresh_cycles = 0
-        self._versions_adopted = 0
-        self._last_error: Optional[BaseException] = None
         #: Wall-clock seconds the last adopting refresh observed between
         #: polls — the *measured* staleness bound the pool tests assert.
         self._last_adopt_seconds: Optional[float] = None
         self._last_poll: Optional[float] = None
 
-    def _published_version(self) -> Optional[int]:
+    def _leader(self) -> Optional[int]:
         """The durable manifest's version (what the writer has made real)."""
-        store = self.service.store
         try:
-            manifest = json.loads(
-                store._manifest_path.read_text(encoding="utf-8"))
-            return int(manifest["store_version"])
-        except (OSError, ValueError, KeyError):
+            return int(self.store._read_manifest()["store_version"])
+        except (OSError, ValueError, KeyError, StoreError):
             return None
 
-    def status(self) -> dict[str, Any]:
-        """Staleness report in the shape ``/v1/health`` renders."""
-        with self._lock:
-            cycles = self._refresh_cycles
-            adopted = self._versions_adopted
-            last_error = self._last_error
-            adopt_seconds = self._last_adopt_seconds
-        local = self.service.store.version
-        published = self._published_version()
-        staleness = (None if published is None
-                     else max(0, published - local))
-        return {
-            "mode": "disk-tail",
-            "leader_version": published,
-            "local_version": local,
-            "staleness": staleness,
-            "max_staleness": self.max_staleness,
-            "last_error": (f"{type(last_error).__name__}: {last_error}"
-                           if last_error is not None else None),
-            "sync_cycles": cycles,
-            "entries_applied": adopted,
-            "last_adopt_seconds": adopt_seconds,
-        }
-
-    def staleness(self) -> Optional[int]:
-        return self.status()["staleness"]
-
-    def ready(self) -> bool:
-        staleness = self.staleness()
-        return staleness is not None and staleness <= self.max_staleness
+    def _extra_status(self) -> dict[str, Any]:
+        return {"mode": "disk-tail",
+                "last_adopt_seconds": self._last_adopt_seconds}
 
     def sync_once(self) -> int:
         """One refresh cycle; returns versions adopted."""
-        store = self.service.store
+        store = self.store
         before = store.version
         now = self._clock()
         try:
@@ -423,30 +418,14 @@ class StoreTailer:
             raise
         adopted = store.version - before
         with self._lock:
-            self._refresh_cycles += 1
+            self._sync_cycles += 1
             self._last_error = None
             if adopted:
-                self._versions_adopted += adopted
+                self._applied_total += adopted
                 if self._last_poll is not None:
                     self._last_adopt_seconds = now - self._last_poll
             self._last_poll = now
         if adopted:
             _M_TAILER_REFRESHES.inc()
-        _M_TAILER_LAG.set(max(0, (self._published_version() or 0)
-                              - store.version))
+        _M_TAILER_LAG.set(max(0, (self._leader() or 0) - store.version))
         return adopted
-
-    def run(self, stop: threading.Event, poll_interval: float = 0.2) -> None:
-        """Tail the disk until ``stop`` — a read worker's refresh thread.
-
-        ``poll_interval`` *is* the configured staleness bound in seconds
-        (plus one refresh's work): a version the writer publishes at time
-        *t* is adopted by ``t + poll_interval`` in the absence of faults.
-        """
-        while not stop.is_set():
-            try:
-                self.sync_once()
-            except Exception:  # noqa: BLE001 — recorded in status();
-                pass           # retried next tick (InjectedCrash is a
-                               # BaseException and still kills the loop)
-            stop.wait(poll_interval)

@@ -231,23 +231,18 @@ class _TableState:
 
 
 def _decode_table(data: bytes, limit: int, path: Path,
-                  state: Optional[_TableState] = None,
-                  base_offset: int = 0) -> _TableState:
-    """Replay table records into the process interner until ``limit``.
+                  state: _TableState) -> None:
+    """Replay table records into ``state`` until it holds ``limit``.
 
     The one place a store load touches domain strings: each distinct
     name is decoded and interned exactly once per open, after which
-    every snapshot and base lookup is id arithmetic.
-
-    Passing an existing ``state`` (with ``data`` starting at its
-    ``consumed_bytes`` = ``base_offset``) *continues* a previous decode:
-    the incremental path a read-only worker uses when another process
-    published new table entries — only the tail bytes are read and
-    interned, never the whole table again.
+    every snapshot and base lookup is id arithmetic.  ``data`` starts at
+    ``state.consumed_bytes``, so the same call makes a store's first
+    decode (from byte 0) and continues it when another process has
+    published new entries (only the tail bytes are read and interned).
     """
     interner = default_interner()
-    if state is None:
-        state = _TableState()
+    base_offset = state.consumed_bytes
     offset = 0
     total = len(data)
     while len(state.gids) < limit:
@@ -270,7 +265,6 @@ def _decode_table(data: bytes, limit: int, path: Path,
         base_gid = gid if base_sid == sid else state.gids[base_sid]
         state.append(gid, base_gid)
         state.consumed_bytes = base_offset + offset
-    return state
 
 
 def _encode_table_entry(name: str, base_sid: int) -> bytes:
@@ -546,13 +540,10 @@ class ArchiveStore:
     def _table(self) -> _TableState:
         """The persisted table, interned into the process id space (cached).
 
-        Replay stops at the manifest's entry count; a longer file holds an
-        orphaned tail from a crashed append, which is truncated away so
-        the next append starts from the durable state.  When the table
-        was written entirely under the current default-PSL version, the
-        stored bases additionally seed the interner's base-id column —
-        after which *nothing* in this process ever PSL-parses a stored
-        name again.
+        Replay (:meth:`_extend_table`) stops at the manifest's entry
+        count; a longer file holds an orphaned tail from a crashed
+        append, which is truncated away so the next append starts from
+        the durable state.
         """
         state = self._table_state
         if state is None:
@@ -563,11 +554,11 @@ class ArchiveStore:
                 state = self._table_state
                 if state is not None:
                     return state
-                expected = self._manifest["interner"]["entries"]
+                state = _TableState()
                 if self._table_path.exists():
-                    data = self._table_path.read_bytes()
-                    state = _decode_table(data, expected, self._table_path)
-                    if state.consumed_bytes < len(data) and not self.read_only:
+                    self._extend_table(state, self._manifest)
+                    if (not self.read_only and state.consumed_bytes
+                            < self._table_path.stat().st_size):
                         # Bytes past the manifest's count: an orphaned
                         # tail from a crashed append — unless this opener
                         # is read-only, in which case they may equally be
@@ -575,22 +566,38 @@ class ArchiveStore:
                         # stay untouched.
                         with self._table_path.open("r+b") as handle:
                             handle.truncate(state.consumed_bytes)
-                else:
-                    if expected:
-                        raise StoreError(
-                            f"manifest names missing table {self._table_path}")
-                    state = _TableState()
-                psl = default_list()
-                if self._manifest["interner"]["psl_version"] == psl.version:
-                    column = default_interner().base_column(psl)
-                    seed = column.seed
-                    for gid, base_gid in zip(state.gids, state.base_gids):
-                        seed(gid, base_gid)
+                elif self._manifest["interner"]["entries"]:
+                    raise StoreError(
+                        f"manifest names missing table {self._table_path}")
                 # Built here, under the write lock, so no lazy build can
                 # race an append or refresh that grows the table.
                 state.sid_lut()
                 self._table_state = state
         return state
+
+    def _extend_table(self, state: _TableState, manifest: dict) -> None:
+        """Decode the table from ``state.consumed_bytes`` up to
+        ``manifest``'s entry count, seeding the new entries' bases.
+
+        When ``manifest``'s PSL stamp is the current default list's, the
+        stored bases seed the interner's base-id column — after which
+        *nothing* in this process ever PSL-parses a stored name again.
+        Called under the write lock, by the first :meth:`_table` load
+        and by :meth:`refresh`.
+        """
+        before = len(state)
+        expected = manifest["interner"]["entries"]
+        if expected > before:
+            with self._table_path.open("rb") as handle:
+                handle.seek(state.consumed_bytes)
+                data = handle.read()
+            _decode_table(data, expected, self._table_path, state)
+        psl = default_list()
+        if manifest["interner"]["psl_version"] == psl.version:
+            seed = default_interner().base_column(psl).seed
+            for gid, base_gid in zip(state.gids[before:],
+                                     state.base_gids[before:]):
+                seed(gid, base_gid)
 
     def _table_append(self, state: _TableState, gid: int, column) -> tuple[int, bytes]:
         """Ensure ``gid`` (and its base) are table entries; return new bytes."""
@@ -935,20 +942,7 @@ class ArchiveStore:
                         f"{self._table_path}: table shrank from "
                         f"{len(state.gids)} to {expected} entries; "
                         f"the store was replaced underneath this process")
-                if expected > len(state.gids):
-                    before = len(state.gids)
-                    with self._table_path.open("rb") as handle:
-                        handle.seek(state.consumed_bytes)
-                        data = handle.read()
-                    _decode_table(data, expected, self._table_path,
-                                  state=state,
-                                  base_offset=state.consumed_bytes)
-                    psl = default_list()
-                    if manifest["interner"]["psl_version"] == psl.version:
-                        seed = default_interner().base_column(psl).seed
-                        for gid, base_gid in zip(state.gids[before:],
-                                                 state.base_gids[before:]):
-                            seed(gid, base_gid)
+                self._extend_table(state, manifest)
             # Another process may have appended more records to months
             # this process had already scanned; drop the cached offsets
             # so a (writable) store re-scans before its next append.

@@ -17,19 +17,22 @@ scales the same service across *processes* the classic pre-fork way:
   ingest POSTs by *forwarding* them to the writer
   (:meth:`QueryService.set_ingest_proxy`) and re-reading the store on
   success, so clients keep one public endpoint and read-your-writes.
+  An ingest only appends, so a writer that serves no reads never loads
+  an archive or builds an index.
 * Read workers open the store **read-only, mmap'd** — the table and
   shard pages are shared through the OS page cache, so N workers cost
   roughly one copy of the data in memory — and discover the writer's
   published versions by tailing the on-disk manifest with a
-  :class:`~repro.service.replica.StoreTailer` thread: the same
-  incremental ``extend_base_id_sets`` + ``DomainIndex.add`` adoption
-  path a network follower uses, with the poll interval as the measured
-  staleness bound.
+  :class:`~repro.service.replica.StoreTailer` thread.  New days are
+  adopted by the service's one tail replay
+  (:meth:`QueryService._refresh`), the path every append takes to the
+  read state, with the poll interval as the measured staleness bound.
 * Rendered payloads are shared through a
   :class:`~repro.service.shared_cache.SharedPayloadCache` segment: a
   body any worker renders for ``(store.version, target)`` serves
   byte-identically (same ETag) from every other worker without
-  re-rendering.
+  re-rendering.  The segment lives at ``<store>/payload_cache.bin``
+  (:data:`CACHE_FILE`) with the segment's default size cap.
 
 The parent supervises: a crashed or killed child is respawned into the
 same slot (the listen sockets live in the parent, so the replacement
@@ -37,7 +40,9 @@ adopts the very same ports), ``SIGTERM`` drains every child
 gracefully, and a small **control endpoint** aggregates the per-worker
 ``/v1/metrics`` scrapes into one exposition
 (:func:`repro.obs.metrics.aggregate_expositions`) that
-``parse_exposition`` reads like any single-process render.
+``parse_exposition`` reads like any single-process render.  Each child
+zeroes the metrics registry it inherits at fork, so a worker's scrape
+counts only its own work and the aggregate counts nothing twice.
 
 POSIX-only (``os.fork``); the single-process ``repro-serve serve``
 path remains the portable default.
@@ -58,11 +63,11 @@ from typing import Any, Callable, Mapping, Optional
 
 from repro import faults
 from repro.obs import logging as obslog
-from repro.obs.metrics import aggregate_expositions
+from repro.obs.metrics import REGISTRY, aggregate_expositions
 from repro.service.api import QueryService, Response
 from repro.service.eventloop import EventLoopServer
 from repro.service.replica import StoreTailer
-from repro.service.shared_cache import DEFAULT_MAX_BYTES, SharedPayloadCache
+from repro.service.shared_cache import SharedPayloadCache
 from repro.service.store import ArchiveStore
 
 __all__ = [
@@ -83,6 +88,9 @@ CRASH_EXIT_CODE = 70
 #: How long :meth:`WorkerPool.stop` waits for SIGTERM'd children before
 #: escalating to SIGKILL.
 DEFAULT_GRACE_SECONDS = 5.0
+
+#: The shared payload segment's file name inside the store directory.
+CACHE_FILE = "payload_cache.bin"
 
 
 class WorkerSlot:
@@ -137,11 +145,7 @@ class WorkerPool:
 
     def __init__(self, store_dir: str | Path, *, workers: int = 4,
                  host: str = "127.0.0.1", port: int = 0,
-                 cache_path: Optional[str | Path] = None,
-                 cache_max_bytes: int = DEFAULT_MAX_BYTES,
                  poll_interval: float = 0.05,
-                 max_staleness: int = 0,
-                 control: bool = True,
                  ready_file: Optional[str | Path] = None,
                  worker_init: Optional[Callable[[str, int], None]] = None,
                  ) -> None:
@@ -153,12 +157,8 @@ class WorkerPool:
         self.workers = workers
         self.host = host
         self._requested_port = port
-        self.cache_path = (Path(cache_path) if cache_path is not None
-                           else self.store_dir / "payload_cache.bin")
-        self.cache_max_bytes = cache_max_bytes
+        self.cache_path = self.store_dir / CACHE_FILE
         self.poll_interval = poll_interval
-        self.max_staleness = max_staleness
-        self._control_enabled = control
         self.ready_file = Path(ready_file) if ready_file is not None else None
         self.worker_init = worker_init
 
@@ -207,8 +207,7 @@ class WorkerPool:
         self._supervisor = threading.Thread(
             target=self._supervise, name="pool-supervisor", daemon=True)
         self._supervisor.start()
-        if self._control_enabled:
-            self._start_control()
+        self._start_control()
         try:
             self.wait_ready(ready_timeout)
         except Exception:
@@ -351,6 +350,7 @@ class WorkerPool:
             self._control_sock.close()
         if slot.role == "writer" and self._listen_sock is not None:
             self._listen_sock.close()
+        REGISTRY.reset()
 
         if self.worker_init is not None:
             self.worker_init(slot.role, slot.index)
@@ -365,12 +365,14 @@ class WorkerPool:
             service.set_ingest_proxy(
                 f"http://{self.host}:{self.writer_port}")
         service.attach_shared_cache(
-            SharedPayloadCache(self.cache_path, self.cache_max_bytes))
+            SharedPayloadCache(self.cache_path))
 
         stop = threading.Event()
         threads: list[threading.Thread] = []
         if slot.role == "reader":
-            tailer = StoreTailer(service, max_staleness=self.max_staleness)
+            # Staleness bound 0: a reader answers /v1/ready with 503
+            # until it has adopted the writer's latest version.
+            tailer = StoreTailer(service)
             service.attach_replica(tailer)
             thread = threading.Thread(
                 target=tailer.run, args=(stop, self.poll_interval),

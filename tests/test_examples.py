@@ -7,6 +7,7 @@ that it prints the sections it promises.
 
 import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -55,8 +56,12 @@ class TestExamples:
         assert len(scripts) >= 3
 
     @pytest.mark.parametrize("script", sorted(EXPECTED_OUTPUT))
-    def test_example_runs_and_reports(self, script):
+    def test_example_runs_and_reports(self, script, tmp_path, monkeypatch):
+        # Every temporary file or directory the example makes lands in
+        # tmp_path, and must be gone once it finishes.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         output = _run_example(script)
         assert len(output) > 200
         for marker in EXPECTED_OUTPUT[script]:
             assert marker in output, f"{script} output misses {marker!r}"
+        assert list(tmp_path.iterdir()) == [], f"{script} left temp files"

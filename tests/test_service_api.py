@@ -31,8 +31,10 @@ from repro.providers.base import ListArchive, ListSnapshot
 from repro.scenarios.golden import load_golden
 from repro.scenarios.profiles import profile_names
 from repro.scenarios.runner import ScenarioReport, canonical_float, run_scenario
+from repro.service import api
 from repro.service.api import QueryService, json_bytes
 from repro.service.eventloop import EventLoopServer
+from repro.service.index import DomainIndex
 from repro.service.store import ArchiveStore
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
@@ -391,6 +393,104 @@ class TestIngestProtocol:
             "/v1/meta", {"If-None-Match": first.etag})
         assert after.status == 200  # stale ETag no longer matches
         assert after.etag != first.etag
+
+
+def _adoption_store(root):
+    """Three days of two providers, written through the ordinary append."""
+    store = ArchiveStore(root)
+    for provider, names in (("alexa", ("a.com", "b.com", "c.org")),
+                            ("umbrella", ("a.com", "www.b.com", "d.net"))):
+        store.append_archive(ListArchive.from_snapshots([
+            ListSnapshot(provider=provider,
+                         date=dt.date(2018, 1, 1) + dt.timedelta(days=day),
+                         entries=names + (f"{provider}-day{day}.com",))
+            for day in range(3)]))
+    return store
+
+
+#: Reads that must match a service over the reopened store, byte for byte.
+ADOPTION_TARGETS = (
+    "/v1/meta",
+    "/v1/domains/a.com/history?top_k=2",
+    "/v1/domains/late.example/history",
+    "/v1/providers/alexa/stability?top_n=2",
+    "/v1/compare",
+)
+
+
+class TestIngestOnlyAppends:
+    """An ingest appends and answers; the next read adopts the day.
+
+    The archives and the index change only in ``QueryService._refresh``,
+    so an ingest must not load an archive, extend the delta engine or
+    grow the index — and the reads after it must be byte-identical to a
+    fresh service over the reopened store.
+    """
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        count(ArchiveStore, "load_archive")
+        count(api, "extend_base_id_sets")
+        count(DomainIndex, "add")
+        return calls
+
+    def _ingest(self, service, provider, date):
+        body = json.dumps({"provider": provider, "date": date,
+                           "entries": ["late.example", "a.com"]})
+        return service.handle_request("/v1/ingest", method="POST",
+                                      body=body.encode())
+
+    def _read_and_compare(self, service, root, counted):
+        """Read every target, then compare against the reopened store.
+
+        Returns the adoption calls the reads made (before the reference
+        service makes its own).
+        """
+        got = {target: service.handle_request(target)
+               for target in ADOPTION_TARGETS}
+        adoption = dict(counted)
+        reopened = QueryService(ArchiveStore(root, create=False,
+                                             read_only=True))
+        for target, response in got.items():
+            want = reopened.handle_request(target)
+            assert response.status == want.status == 200, target
+            assert response.body == want.body, target
+        return adoption
+
+    @pytest.mark.parametrize("provider", ["alexa", "fresh"])
+    def test_cold_leader_ingest_touches_no_read_state(self, tmp_path,
+                                                      counted, provider):
+        root = tmp_path / "s"
+        service = QueryService(_adoption_store(root))
+        response = self._ingest(service, provider, "2018-01-04")
+        assert response.status == 200
+        assert counted == {}
+        adoption = self._read_and_compare(service, root, counted)
+        # The first read loaded every provider, the new day included.
+        assert adoption == {"load_archive": len(service.providers())}
+
+    def test_second_ingest_after_warm_read(self, tmp_path, counted):
+        root = tmp_path / "s"
+        service = QueryService(_adoption_store(root))
+        assert self._ingest(service, "alexa", "2018-01-04").status == 200
+        assert service.handle_request("/v1/meta").status == 200
+        counted.clear()
+        assert self._ingest(service, "alexa", "2018-01-05").status == 200
+        assert counted == {}
+        adoption = self._read_and_compare(service, root, counted)
+        # Adopted through the tail replay: one day, one extension.
+        assert adoption == {"extend_base_id_sets": 1, "add": 1}
 
 
 class TestBatchQuery:

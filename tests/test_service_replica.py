@@ -149,6 +149,9 @@ class TestStatusAndHealth:
         assert status["last_error"] is None
         assert status["entries_applied"] == 6
         assert replica.ready()
+        assert set(status) == {
+            "leader_version", "local_version", "staleness", "max_staleness",
+            "breaker", "last_error", "sync_cycles", "entries_applied"}
 
     def test_ready_endpoint_tracks_replica(self, leader, tmp_path):
         _, service, replica = _follower(tmp_path, leader)

@@ -154,6 +154,10 @@ class TestPoolServing:
         assert status == 200
         assert payload["role"] == "reader"
         assert payload["replication"]["mode"] == "disk-tail"
+        assert set(payload["replication"]) == {
+            "mode", "leader_version", "local_version", "staleness",
+            "max_staleness", "last_error", "sync_cycles", "entries_applied",
+            "last_adopt_seconds"}
         assert payload["shared_cache"]["max_bytes"] > 0
 
     def test_writer_port_serves_leader(self, pool):
@@ -242,6 +246,15 @@ class TestPoolWritePath:
         status, headers, _ = _post(base + "/v1/ingest", body)
         assert status == 200
         assert headers.get("X-Repro-Forwarded") == "writer"
+        # The writer only appended: it serves no reads, so it never
+        # loaded an archive or extended the delta engine.
+        status, _, text = _get(
+            f"http://127.0.0.1:{pool.writer_port}/v1/metrics")
+        writer = parse_exposition(text.decode("utf-8"))
+        assert status == 200
+        assert writer["repro_store_appends_total"] >= 1
+        assert writer["repro_store_archive_loads_total"] == 0
+        assert writer["repro_delta_extends_total"] == 0
         # The forwarding reader refreshed synchronously: read-your-writes.
         # Every *other* reader converges within the staleness bound; the
         # bound is poll_interval plus one refresh, measured generously.
