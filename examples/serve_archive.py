@@ -46,13 +46,15 @@ def _tour(config: SimulationConfig, run, store_dir: Path) -> None:
               f"{shard_bytes / 1024:.0f} KiB on disk at {store_dir}")
 
         print("\n== Reloaded archives ==")
-        archives = store.load_archives()
-        for name, archive in sorted(archives.items()):
+        archives = {name: store.load_archive(name)
+                    for name in store.providers()}
+        index = DomainIndex()
+        for name, archive in archives.items():
             last = archive_base_id_sets(archive)[archive.dates()[-1]]
             print(f"  {name:<9} {len(archive)} days, "
                   f"{len(last)} base domains on the last day")
+            index.add(archive)
 
-        index = DomainIndex.from_archives(archives)
         probe = archives["alexa"][0].entries[0]
         print(f"\n== Rank history of {probe} (domain index) ==")
         for provider in index.providers():

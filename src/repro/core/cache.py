@@ -23,8 +23,8 @@ column instead of a string memo.
   snapshot to an archive while carrying the cached per-day base-id
   mappings forward by one day instead of letting ``archive.add`` drop
   them (the serving layer's one adoption step,
-  ``QueryService._refresh``, calls it for every day appended after the
-  loaded tail).
+  ``QueryService._refresh``, calls it for every stored day after the
+  loaded tail, which on a cold start is every stored day).
 * :func:`archive_sld_count_events` tracks per-day SLD-group membership
   counts as change events (day index, new count), again delta-driven.
 * :func:`archive_rank_series_ids` / :func:`archive_rank_partition_ids`
@@ -57,12 +57,12 @@ from repro.providers.base import ListArchive, ListSnapshot
 
 _DEFAULT_PSL = default_list()
 
-# Live-append extensions run a few times per ingested day (ms-scale
-# path), cheap enough for registry instruments.
+# Extensions run once per adopted day (a ms-scale path), cheap enough
+# for registry instruments.
 _M_EXTENDS = metrics.counter(
     "repro_delta_extends_total",
-    "Live snapshot extensions of the delta engine "
-    "(extend_base_id_sets calls).")
+    "Snapshot days added through extend_base_id_sets; a query service "
+    "adopts every day this way, cold-loaded and tailed alike.")
 _M_EXTEND_SECONDS = metrics.histogram(
     "repro_delta_extend_seconds",
     "Wall-clock seconds per extend_base_id_sets call.")

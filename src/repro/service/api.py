@@ -51,13 +51,14 @@ version and its body are read/produced inside one continuous lock hold.
 ``/v1/ingest`` only appends to the store under the same lock (durable,
 atomic manifest publish); it never touches the archives or the index.
 Those change in one place, :meth:`QueryService._refresh`, which every
-read runs first: it adopts whatever days the store holds beyond the
-loaded ones, through the delta engine
-(:func:`repro.core.cache.extend_base_id_sets`) and
-:meth:`~repro.service.index.DomainIndex.add`.  The same tail replay
-serves an in-process ingest, a direct ``store.append``, a follower's
-replicated appends and a pool reader's disk refresh.  Once an ingest
-response is on the wire, every subsequent read observes the new day.
+read runs first: per provider it replays the store's days after the
+loaded tail (every day, on a cold start) through the delta engine
+(:func:`repro.core.cache.extend_base_id_sets`) and hands the archive to
+:meth:`~repro.service.index.DomainIndex.add`.  The same step serves a
+cold start, an in-process ingest, a direct ``store.append``, a
+follower's replicated appends and a pool reader's disk refresh.  Once
+an ingest response is on the wire, every subsequent read observes the
+new day.
 
 All logic lives in the transport-free :meth:`QueryService.handle_request`,
 which the CLI, tests and benchmarks call directly.  The HTTP layer is
@@ -76,6 +77,7 @@ import hashlib
 import io
 import json
 import threading
+import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Sequence
@@ -177,6 +179,10 @@ _M_INGEST_SKIPPED = metrics.counter(
 _M_INGEST_FORWARDED = metrics.counter(
     "repro_ingest_forwarded_total",
     "Ingest requests a pool read-worker proxied to the writer.")
+_M_ADOPT_SECONDS = metrics.histogram(
+    "repro_service_adopt_seconds",
+    "Wall-clock seconds adopting one provider's new stored days into "
+    "the served archives and index (a cold load or a tail).")
 
 
 class ApiError(Exception):
@@ -387,35 +393,41 @@ class QueryService:
     def _refresh(self) -> None:
         """Catch the materialised archives/index up with the store.
 
-        The only code that changes ``_archives`` and ``_index``.  Keyed
-        on the store's *data* version, so report saves don't force a
-        reload; days after an already-loaded provider's tail are applied
-        incrementally (:func:`extend_base_id_sets` + ``index.add``)
-        instead of re-replaying the whole corpus, wherever the append
-        came from (this service's ingest, a direct ``store.append``, a
-        replica, or another process via :meth:`refresh_from_disk`).
+        The only code that changes ``_archives`` and ``_index``, and one
+        step for every provider: the store's days after the loaded tail
+        (all of them for a provider not loaded yet) are replayed into
+        the archive through the delta engine
+        (:func:`extend_base_id_sets`), then ``index.add`` indexes them,
+        wherever the days came from (this service's ingest, a direct
+        ``store.append``, a replica, or another process via
+        :meth:`refresh_from_disk`).  Keyed on the store's *data*
+        version, so report saves don't force a walk.  The version is
+        read before the walk: a day appended mid-walk leaves the
+        recorded version behind the store's, so the next read walks
+        again and picks it up.
         """
         with self._lock:
-            if self._loaded_version == self.store.data_version:
+            version = self.store.data_version
+            if self._loaded_version == version:
                 return
             for provider in self.store.providers():
                 archive = self._archives.get(provider)
                 if archive is None:
-                    archive = self.store.load_archive(provider)
-                    self._archives[provider] = archive
-                    self._index.add_archive(archive)
-                    continue
+                    archive = ListArchive(provider=provider)
                 last_loaded = archive.dates()[-1] if len(archive) else None
                 if last_loaded == self.store.dates(provider)[-1]:
                     continue
+                start = time.perf_counter()
                 # Only the days after the loaded tail are inflated; the
                 # store skips earlier records with their chunks still
                 # compressed.
                 for snapshot in self.store.iter_snapshots(provider,
                                                           after=last_loaded):
                     extend_base_id_sets(archive, snapshot)
-                    self._index.add(snapshot)
-            self._loaded_version = self.store.data_version
+                self._index.add(archive)
+                self._archives[provider] = archive
+                _M_ADOPT_SECONDS.observe(time.perf_counter() - start)
+            self._loaded_version = version
 
     def providers(self) -> tuple[str, ...]:
         with self._lock:

@@ -20,9 +20,12 @@ int-keyed dictionary lookup plus a walk over exactly the domain's own
 postings.  Queries arrive as strings and leave as strings; ids never
 escape the index.
 
-The index is incremental (``add()`` accepts the next day's snapshot) and
-order-strict per provider, mirroring the append-only store; answers are
-element-for-element identical to a brute-force scan over the archive
+:meth:`DomainIndex.add` is the one way days enter the index: it takes a
+provider's archive and indexes the days after that provider's indexed
+tail, so building from scratch and adopting a newly appended day are the
+same call.  It is order-strict per provider, mirroring the append-only
+store; answers are element-for-element identical to a brute-force scan
+over the archive, however the days were split across ``add`` calls
 (property-tested in ``tests/test_service_index.py``).
 """
 
@@ -32,11 +35,11 @@ import datetime as dt
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.cache import archive_base_id_sets, snapshot_base_ids
+from repro.core.cache import archive_base_id_sets
 from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
 
@@ -95,6 +98,19 @@ def _advance_bases(state: _ProviderIndex, ordinal: int,
     state.dates.append(ordinal)
 
 
+def _append_postings(observations: dict[int, array],
+                     snapshot: ListSnapshot) -> None:
+    """Append one day's ``(ordinal, rank)`` pair to each listed domain."""
+    ordinal = snapshot.date.toordinal()
+    for rank, domain_id in enumerate(snapshot.entry_ids(), start=1):
+        postings = observations.get(domain_id)
+        if postings is None:
+            observations[domain_id] = array("I", (ordinal, rank))
+        else:
+            postings.append(ordinal)
+            postings.append(rank)
+
+
 def _bulk_postings(observations: dict[int, array],
                    snapshots: Sequence[ListSnapshot]) -> None:
     """Fill an empty provider's postings from whole days at once.
@@ -150,84 +166,39 @@ class DomainIndex:
         self.lookups = 0
 
     # -- construction -----------------------------------------------------
-    def add(self, snapshot: ListSnapshot,
-            bases: Optional[frozenset[int]] = None) -> None:
-        """Index the next snapshot of its provider (strict date order).
+    def add(self, archive: ListArchive) -> None:
+        """Index the archive's days after its provider's indexed tail.
 
-        ``bases`` optionally supplies the snapshot's precomputed
-        base-domain id set (the bulk loaders pass the delta engine's
-        shared result); otherwise it is taken from the per-snapshot
-        cache.
+        The archive only ever grows at its end: its days up to the
+        indexed tail must be exactly the indexed days, or ``ValueError``.
+        The new days' base-domain sets come from the one delta engine
+        (:func:`~repro.core.cache.archive_base_id_sets`), whose per-day
+        mapping the archive caches.  A provider with no indexed days
+        gets its postings in one bulk build (:func:`_bulk_postings`),
+        which wins on a whole history; later days are appended one at
+        a time, which wins on a day or two.  Both give identical
+        postings.
         """
-        state = self._providers.setdefault(snapshot.provider, _ProviderIndex())
-        ordinal = snapshot.date.toordinal()
-        if state.dates and ordinal <= state.dates[-1]:
-            last = dt.date.fromordinal(state.dates[-1])
-            raise ValueError(
-                f"index is append-only: {snapshot.provider} snapshot "
-                f"{snapshot.date} is not after the indexed {last}")
-        observations = state.observations
-        for rank, domain_id in enumerate(snapshot.entry_ids(), start=1):
-            postings = observations.get(domain_id)
-            if postings is None:
-                observations[domain_id] = array("I", (ordinal, rank))
-            else:
-                postings.append(ordinal)
-                postings.append(rank)
-        _advance_bases(state, ordinal,
-                       snapshot_base_ids(snapshot) if bases is None else bases)
-
-    def add_archive(self, archive: ListArchive) -> None:
-        """Index a whole archive, sharing the delta engine's base-id sets.
-
-        A provider with no indexed days yet gets all its postings in one
-        bulk build (:func:`_bulk_postings`); otherwise every snapshot
-        goes through :meth:`add`.  Both give identical postings.
-        """
-        per_day = archive_base_id_sets(archive)
-        snapshots = archive.snapshots()
         state = self._providers.get(archive.provider)
-        if not snapshots or (state is not None and state.dates):
-            for snapshot in snapshots:
-                self.add(snapshot, bases=per_day[snapshot.date])
+        indexed = state.dates if state is not None else []
+        dates = archive.dates()
+        if [date.toordinal() for date in dates[:len(indexed)]] != indexed:
+            raise ValueError(
+                f"index is append-only: the {archive.provider} archive's "
+                f"days do not extend the {len(indexed)} indexed days")
+        snapshots = [archive[date] for date in dates[len(indexed):]]
+        if not snapshots:
             return
+        per_day = archive_base_id_sets(archive)
         state = self._providers.setdefault(archive.provider, _ProviderIndex())
-        _bulk_postings(state.observations, snapshots)
+        if state.dates:
+            for snapshot in snapshots:
+                _append_postings(state.observations, snapshot)
+        else:
+            _bulk_postings(state.observations, snapshots)
         for snapshot in snapshots:
             _advance_bases(state, snapshot.date.toordinal(),
                            per_day[snapshot.date])
-
-    @classmethod
-    def from_archive(cls, archive: ListArchive) -> "DomainIndex":
-        """Build an index over one archive."""
-        index = cls()
-        index.add_archive(archive)
-        return index
-
-    @classmethod
-    def from_archives(cls, archives: Mapping[str, ListArchive]) -> "DomainIndex":
-        """Build an index over several archives (keyed by provider name)."""
-        index = cls()
-        for name in sorted(archives):
-            index.add_archive(archives[name])
-        return index
-
-    @classmethod
-    def from_store(cls, store, providers: Optional[Iterable[str]] = None
-                   ) -> "DomainIndex":
-        """Build an index from an :class:`~repro.service.store.ArchiveStore`.
-
-        Loads the store's columnar archives and indexes them through
-        :meth:`add_archive`, so the base-domain sets come from the one
-        delta engine over the base-id column the store seeded from its
-        stored bases: nothing is PSL-parsed on a matching PSL, and no
-        entry string is materialised along the way.
-        """
-        names = tuple(providers) if providers is not None else store.providers()
-        index = cls()
-        for name in names:
-            index.add_archive(store.load_archive(name))
-        return index
 
     # -- introspection ----------------------------------------------------
     def providers(self) -> tuple[str, ...]:

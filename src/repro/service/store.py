@@ -26,9 +26,12 @@ private per-shard string table:
   process :func:`~repro.interning.default_interner` (building a table-id
   → process-id translation) and, when the PSL version still matches the
   append-time stamp, seeds the interner's base-id column from the stored
-  bases.  Every snapshot then loads as a pure id column
-  (:meth:`~repro.providers.base.ListSnapshot.from_ids`): **no domain
-  string is materialised per day**.  Per-day base-domain sets come from
+  bases.  Every whole-day load is one walk,
+  :meth:`ArchiveStore.iter_snapshots`, which yields each day as a pure
+  id column (:meth:`~repro.providers.base.ListSnapshot.from_ids`): **no
+  domain string is materialised per day**.  :meth:`ArchiveStore.load_archive`
+  collects the whole walk; a query service replays only the days after
+  its loaded tail.  Per-day base-domain sets come from
   the one :mod:`repro.core.cache` delta engine, which on a seeded column
   resolves every id by array index and PSL-parses nothing.  Seeding is
   skipped (never wrong, just slower) when the default PSL has changed
@@ -51,9 +54,9 @@ the manifest flips, and the in-memory manifest is copy-on-write: an
 append builds a fresh manifest dict and publishes it with a single
 reference swap, so a reader never observes ``store.version`` bumped
 ahead of the date log it describes.  Readers that walk several manifest
-fields (``load_archive``, ``iter_snapshots``) capture one manifest
-reference up front and answer entirely from that consistent snapshot,
-even if appends land mid-iteration.
+fields (``iter_snapshots``, and ``load_archive`` through it) capture
+one manifest reference up front and answer entirely from that
+consistent snapshot, even if appends land mid-iteration.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ import time
 import zlib
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -130,11 +133,6 @@ _M_APPENDS = metrics.counter(
 _M_APPEND_SECONDS = metrics.histogram(
     "repro_store_append_seconds",
     "Wall-clock seconds per store append (lock wait included).")
-_M_ARCHIVE_LOADS = metrics.counter(
-    "repro_store_archive_loads_total", "Full archive rebuilds from shards.")
-_M_ARCHIVE_LOAD_SECONDS = metrics.histogram(
-    "repro_store_load_archive_seconds",
-    "Wall-clock seconds per full archive rebuild.")
 
 
 def _month_key(date: dt.date) -> str:
@@ -1031,26 +1029,25 @@ class ArchiveStore:
             ids.frombytes(gid_table[sids].view(np.uint8))
         return ids
 
-    def _replay(self, provider: str, manifest: Optional[dict] = None,
-                after: Optional[int] = None
-                ) -> Iterator[tuple[int, array]]:
-        """Yield ``(ordinal, entry_gids)`` per stored day.
+    def iter_snapshots(self, provider: str,
+                       after: Optional[dt.date] = None) -> Iterator[ListSnapshot]:
+        """Stream the provider's snapshots in date order (lazy, columnar).
 
-        ``entry_gids`` is a rank-ordered process-id column, inflated and
-        translated chunk by chunk (one transient chunk-sized array at a
-        time, never a boxed whole-day tuple).  With ``after`` (a date
-        ordinal) only later days are yielded: earlier months are never
-        opened and earlier records of the same month are skipped with
-        their chunks still compressed.  The walk pins one published
-        manifest up front, so a concurrent append can neither shift the
-        record counts mid-iteration nor surface a half-written tail
-        (bytes past the pinned counts are simply never decoded).
+        Each day is a pure id column
+        (:meth:`~repro.providers.base.ListSnapshot.from_ids`), inflated
+        and translated chunk by chunk (one transient chunk-sized array
+        at a time, never a boxed whole-day tuple).  With ``after`` only
+        later days are decoded: earlier months are never opened and
+        earlier records of the same month are skipped with their chunks
+        still compressed.  The walk pins one published manifest up
+        front, so a concurrent append can neither shift the record
+        counts mid-iteration nor surface a half-written tail (bytes past
+        the pinned counts are simply never decoded).
         """
-        if manifest is None:
-            manifest = self._manifest
+        manifest = self._manifest
         gid_table = self._gid_table(manifest)
-        first_month = (None if after is None
-                       else _month_key(dt.date.fromordinal(after)))
+        after_ordinal = None if after is None else after.toordinal()
+        first_month = None if after is None else _month_key(after)
         for month in self._months(provider, manifest):
             if first_month is not None and month < first_month:
                 continue
@@ -1062,23 +1059,13 @@ class ArchiveStore:
             for ordinal, _, chunks, _ in _iter_shard_records(
                     _shard_view(path), path, expected):
                 records += 1
-                if after is None or ordinal > after:
-                    yield ordinal, self._translate(chunks, gid_table)
+                if after_ordinal is None or ordinal > after_ordinal:
+                    yield ListSnapshot.from_ids(
+                        provider=provider, date=dt.date.fromordinal(ordinal),
+                        ids=self._translate(chunks, gid_table))
             if records < expected:
                 raise StoreError(
                     f"{path}: holds {records} records, manifest expects {expected}")
-
-    def iter_snapshots(self, provider: str,
-                       after: Optional[dt.date] = None) -> Iterator[ListSnapshot]:
-        """Stream the provider's snapshots in date order (lazy, columnar).
-
-        With ``after``, only the snapshots dated after it are decoded.
-        """
-        for ordinal, entry_gids in self._replay(
-                provider, after=None if after is None else after.toordinal()):
-            yield ListSnapshot.from_ids(provider=provider,
-                                        date=dt.date.fromordinal(ordinal),
-                                        ids=entry_gids)
 
     def _record_chunks(self, provider: str, date: dt.date) -> _Chunks:
         """One day's still-compressed chunk list (the lazy-read entry).
@@ -1147,37 +1134,17 @@ class ArchiveStore:
     def load_archive(self, provider: str) -> ListArchive:
         """Rebuild the provider's full archive, without materialising strings.
 
-        Each stored day becomes a pure id column
-        (:meth:`~repro.providers.base.ListSnapshot.from_ids`); no derived
-        cache is installed.  The per-day base-domain sets come from the
-        one :mod:`repro.core.cache` delta engine on first demand, and on
-        a store whose PSL stamp matches they resolve through the base-id
-        column that opening the store seeded from the stored bases, so
-        no entry is PSL-parsed.
+        The archive holds the :meth:`iter_snapshots` id columns; no
+        derived cache is installed.  Its per-day base-domain sets come
+        from the one :mod:`repro.core.cache` delta engine on first
+        demand, and on a store whose PSL stamp matches they resolve
+        through the base-id column that opening the store seeded from
+        the stored bases, so no entry is PSL-parsed.
         """
-        start = time.perf_counter()
-        manifest = self._manifest
-        if provider not in manifest["providers"]:
+        if provider not in self._manifest["providers"]:
             raise KeyError(f"no archive stored for provider {provider!r}")
-        snapshots = [
-            ListSnapshot.from_ids(provider=provider,
-                                  date=dt.date.fromordinal(ordinal),
-                                  ids=entry_gids)
-            for ordinal, entry_gids in self._replay(provider, manifest)]
-        archive = ListArchive.from_snapshots(snapshots, provider=provider)
-        duration = time.perf_counter() - start
-        _M_ARCHIVE_LOADS.inc()
-        _M_ARCHIVE_LOAD_SECONDS.observe(duration)
-        obslog.log_event(
-            "store.load_archive", level="debug", provider=provider,
-            days=len(snapshots), duration_ms=round(duration * 1000.0, 3))
-        return archive
-
-    def load_archives(self, providers: Optional[Iterable[str]] = None
-                      ) -> dict[str, ListArchive]:
-        """Load several providers' archives (default: all stored)."""
-        names = tuple(providers) if providers is not None else self.providers()
-        return {name: self.load_archive(name) for name in names}
+        return ListArchive.from_snapshots(self.iter_snapshots(provider),
+                                          provider=provider)
 
     # -- scenario reports -------------------------------------------------
     def _report_path(self, profile: str) -> Path:

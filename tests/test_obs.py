@@ -338,6 +338,46 @@ class TestMetricsEndpoint:
         assert 0 < delta(f"{name}_sum") <= wall
         assert delta(f'{name}_bucket{{le="+Inf"}}') == delta(finite)
 
+    def test_adopt_seconds_one_sample_per_adopted_provider(self, tmp_path):
+        """A cold read adopts each provider once, an ingested day adds
+        one sample for its provider and a report save adds none."""
+        name = "repro_service_adopt_seconds"
+        store = ArchiveStore(tmp_path / "adopt-store")
+        for provider in ("alexa", "majestic", "umbrella"):
+            for day in range(2):
+                store.append(ListSnapshot(
+                    provider, dt.date(2018, 1, 1) + dt.timedelta(days=day),
+                    ("a.com", f"{provider}{day}.com")))
+        service = QueryService(store)
+
+        def adopted(step):
+            before = parse_exposition(metrics.render().decode("utf-8"))
+            started = time.perf_counter()
+            step()
+            wall = time.perf_counter() - started
+            after = parse_exposition(metrics.render().decode("utf-8"))
+            seconds = after[f"{name}_sum"] - before.get(f"{name}_sum", 0)
+            assert 0 <= seconds <= wall
+            return after[f"{name}_count"] - before.get(f"{name}_count", 0)
+
+        assert adopted(lambda: service.handle_request("/v1/meta")) == 3
+        body = json.dumps({"provider": "majestic", "date": "2018-01-03",
+                           "entries": ["a.com"]}).encode()
+
+        def ingest_then_read():
+            assert service.handle_request(
+                "/v1/ingest", method="POST", body=body).status == 200
+            assert service.handle_request("/v1/meta").status == 200
+
+        assert adopted(ingest_then_read) == 1
+
+        def save_report_then_read():
+            store.save_report_bytes("late", b"{}\n")
+            assert service.handle_request(
+                "/v1/scenarios/late/report").status == 200
+
+        assert adopted(save_report_then_read) == 0
+
 
 class TestHealthSatellite:
     def test_health_reports_cache_and_chunk_stats(self, tmp_path):

@@ -440,7 +440,6 @@ class TestIngestOnlyAppends:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        count(ArchiveStore, "load_archive")
         count(api, "extend_base_id_sets")
         count(DomainIndex, "add")
         return calls
@@ -477,8 +476,10 @@ class TestIngestOnlyAppends:
         assert response.status == 200
         assert counted == {}
         adoption = self._read_and_compare(service, root, counted)
-        # The first read loaded every provider, the new day included.
-        assert adoption == {"load_archive": len(service.providers())}
+        # The first read replayed every stored day, the new one
+        # included, and indexed each provider with one add.
+        assert adoption == {"extend_base_id_sets": len(service.store),
+                            "add": len(service.providers())}
 
     def test_second_ingest_after_warm_read(self, tmp_path, counted):
         root = tmp_path / "s"
@@ -491,6 +492,48 @@ class TestIngestOnlyAppends:
         adoption = self._read_and_compare(service, root, counted)
         # Adopted through the tail replay: one day, one extension.
         assert adoption == {"extend_base_id_sets": 1, "add": 1}
+
+
+class TestAdoptionStep:
+    """``_refresh`` catches up with appends that land during its walk."""
+
+    def test_append_landing_mid_walk_is_adopted_by_the_next_read(
+            self, tmp_path, monkeypatch):
+        root = tmp_path / "s"
+        store = _adoption_store(root)
+        service = QueryService(store)
+        assert service.handle_request("/v1/meta").status == 200
+
+        def day(provider, offset):
+            return ListSnapshot(
+                provider=provider,
+                date=dt.date(2018, 1, 1) + dt.timedelta(days=offset),
+                entries=("a.com", f"{provider}-late{offset}.com"))
+
+        store.append(day("alexa", 3))
+        store.append(day("umbrella", 3))
+        walk = ArchiveStore.iter_snapshots
+
+        def iter_snapshots(self, provider, after=None):
+            # Land an alexa append once alexa has been replayed, the way
+            # a follower's replica thread appends without the service
+            # lock.
+            if provider == "umbrella" and len(store.dates("alexa")) == 4:
+                store.append(day("alexa", 4))
+            return walk(self, provider, after=after)
+
+        monkeypatch.setattr(ArchiveStore, "iter_snapshots", iter_snapshots)
+        assert service.handle_request("/v1/meta").status == 200
+        assert len(store.dates("alexa")) == 5
+        monkeypatch.undo()
+
+        got = service.handle_request("/v1/meta")
+        fresh = QueryService(ArchiveStore(root, create=False, read_only=True))
+        want = fresh.handle_request("/v1/meta")
+        assert got.headers["X-Repro-Store-Version"] == \
+            want.headers["X-Repro-Store-Version"]
+        assert got.json()["providers"]["alexa"]["days"] == 5
+        assert got.body == want.body
 
 
 class TestBatchQuery:

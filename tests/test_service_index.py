@@ -4,8 +4,9 @@ The index's whole contract is "same answers as a brute-force scan over the
 archive's snapshots, without the scan".  For arbitrary small archives this
 asserts exactly that — for rank history (windowed and full), longevity,
 days-in-top-k and base-domain membership intervals — and that the answers
-survive incremental ``add()`` updates and an
-:class:`~repro.service.store.ArchiveStore` round trip.
+survive an :class:`~repro.service.store.ArchiveStore` round trip and any
+split of an archive's days across ``add()`` calls, down to identical
+posting arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import snapshot_base_ids
+from repro.core.cache import extend_base_id_sets, snapshot_base_ids
 from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service.index import DomainIndex
@@ -117,26 +118,51 @@ def _assert_parity(index: DomainIndex, archive: ListArchive,
                 == _scan_base_intervals(archive, base)), base
 
 
+def _index_of(*archives: ListArchive) -> DomainIndex:
+    index = DomainIndex()
+    for archive in archives:
+        index.add(archive)
+    return index
+
+
+def _index_in_batches(archive: ListArchive, cuts) -> DomainIndex:
+    """Index ``archive`` as it grows, with one ``add`` per batch of days.
+
+    ``cuts`` are the sorted day counts after which a batch ends (the
+    last batch ends with the archive).  The growing archive takes each
+    day through :func:`extend_base_id_sets`, as the query service's
+    adoption step does.
+    """
+    index = DomainIndex()
+    growing = ListArchive(provider=archive.provider)
+    snapshots = archive.snapshots()
+    for lo, hi in zip([0, *cuts], [*cuts, len(snapshots)]):
+        for snapshot in snapshots[lo:hi]:
+            extend_base_id_sets(growing, snapshot)
+        index.add(growing)
+    return index
+
+
 class TestIndexParity:
     @given(_archive_days)
     @settings(max_examples=30, deadline=None)
     def test_from_archive_matches_scan(self, days):
         archive = _build_archive(days)
-        _assert_parity(DomainIndex.from_archive(archive), archive)
+        _assert_parity(_index_of(archive), archive)
 
     @given(_archive_days)
     @settings(max_examples=30, deadline=None)
     def test_incremental_add_matches_scan(self, days):
-        # Index the first day, then add() the rest one at a time — the
-        # incremental path must answer like the bulk one at every step.
+        # Add the archive after every new day — each add indexes just
+        # that day — and it must answer like one whole-archive add.
         archive = _build_archive(days)
-        snapshots = archive.snapshots()
+        growing = ListArchive(provider="prop")
         index = DomainIndex()
-        for upto, snapshot in enumerate(snapshots, start=1):
-            index.add(snapshot)
-            prefix = ListArchive.from_snapshots(snapshots[:upto])
-            if upto in (1, len(snapshots)):
-                _assert_parity(index, prefix)
+        for upto, snapshot in enumerate(archive, start=1):
+            growing.add(snapshot)
+            index.add(growing)
+            if upto in (1, len(archive)):
+                _assert_parity(index, growing)
 
     @given(_archive_days)
     @settings(max_examples=15, deadline=None)
@@ -146,7 +172,7 @@ class TestIndexParity:
             store = ArchiveStore(pathlib.Path(tmp) / "s")
             store.append_archive(archive)
             reopened = ArchiveStore(pathlib.Path(tmp) / "s")
-            index = DomainIndex.from_store(reopened)
+            index = _index_of(reopened.load_archive("prop"))
         _assert_parity(index, archive)
 
 
@@ -155,13 +181,6 @@ def _provider_state(index: DomainIndex, provider: str = "prop"):
     if state is None:
         return None
     return state.dates, state.observations, state.base_events, state.prev_bases
-
-
-def _per_snapshot_index(archive: ListArchive) -> DomainIndex:
-    index = DomainIndex()
-    for snapshot in archive:
-        index.add(snapshot)
-    return index
 
 
 def _assert_same_index(got: DomainIndex, want: DomainIndex,
@@ -174,54 +193,52 @@ def _assert_same_index(got: DomainIndex, want: DomainIndex,
             want.base_intervals(base, "prop"), base
 
 
-class TestBulkBuildParity:
-    """``add_archive``'s bulk build against per-snapshot ``add``."""
+class TestOneAddEntryPoint:
+    """One ``add`` of a whole archive against any split of its days."""
 
-    @given(_archive_days)
+    @given(_archive_days, st.data())
     @settings(max_examples=30, deadline=None)
-    def test_bulk_build_equals_per_snapshot_add(self, days):
+    def test_one_add_equals_per_day_and_batched_adds(self, days, data):
         archive = _build_archive(days)
-        bulk = DomainIndex()
-        bulk.add_archive(archive)
-        _assert_same_index(bulk, _per_snapshot_index(archive), archive)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(days) - 1)),
+                                label="cuts"))
+        whole = _index_of(archive)
+        _assert_same_index(_index_in_batches(archive, range(1, len(days))),
+                           whole, archive)
+        _assert_same_index(_index_in_batches(archive, cuts), whole, archive)
 
     def test_empty_archive(self):
-        archive = ListArchive(provider="prop")
-        bulk = DomainIndex()
-        bulk.add_archive(archive)
-        assert bulk.providers() == _per_snapshot_index(archive).providers() == ()
-        assert _provider_state(bulk) is None
+        index = _index_of(ListArchive(provider="prop"))
+        assert index.providers() == ()
+        assert _provider_state(index) is None
 
     def test_one_day_archive(self):
         archive = _build_archive([["www.d0.com", "d1.co.uk", "d0.com"]])
-        bulk = DomainIndex()
-        bulk.add_archive(archive)
-        _assert_same_index(bulk, _per_snapshot_index(archive), archive)
-        assert bulk.history("d0.com", "prop") == [(archive.dates()[0], 3)]
-
-    @given(_archive_days)
-    @settings(max_examples=20, deadline=None)
-    def test_provider_with_days_falls_back_to_add(self, days):
-        archive = _build_archive(days)
-        first, *rest = archive.snapshots()
-        index = DomainIndex()
-        index.add(first)
-        index.add_archive(ListArchive.from_snapshots(rest))
-        _assert_same_index(index, _per_snapshot_index(archive), archive)
+        index = _index_of(archive)
+        _assert_same_index(index, _index_in_batches(archive, []), archive)
+        assert index.history("d0.com", "prop") == [(archive.dates()[0], 3)]
 
 
 class TestIndexRules:
     def test_out_of_order_add_rejected(self):
-        archive = _build_archive([["d0.com"], ["d1.com"]])
-        index = DomainIndex()
-        index.add(archive[1])
-        import pytest
-
-        with pytest.raises(ValueError, match="append-only"):
-            index.add(archive[0])
+        days = _build_archive([["d0.com"], ["d1.com"], ["d2.com"]]).snapshots()
+        cases = [
+            ([1], [0, 1]),        # an earlier day appeared before the tail
+            ([0, 2], [0, 1, 2]),  # a day was inserted inside the history
+            ([0, 1], [0]),        # the archive lost an indexed day
+            ([0, 1], [1, 2]),     # the archive's history starts later
+        ]
+        for indexed, offered in cases:
+            index = _index_of(ListArchive.from_snapshots(
+                [days[i] for i in indexed]))
+            before = _provider_state(index)
+            with pytest.raises(ValueError, match="append-only"):
+                index.add(ListArchive.from_snapshots(
+                    [days[i] for i in offered]))
+            assert _provider_state(index) == before, (indexed, offered)
 
     def test_unknown_provider_raises(self):
-        index = DomainIndex.from_archive(_build_archive([["d0.com"]]))
+        index = _index_of(_build_archive([["d0.com"]]))
         with pytest.raises(KeyError):
             index.history("d0.com", "nosuch")
         with pytest.raises(ValueError):
@@ -230,7 +247,7 @@ class TestIndexRules:
     def test_multi_provider_isolation(self):
         a = _build_archive([["d0.com", "d1.com"]], provider="alexa")
         b = _build_archive([["d1.com", "d0.com"]], provider="majestic")
-        index = DomainIndex.from_archives({"alexa": a, "majestic": b})
+        index = _index_of(a, b)
         assert index.providers() == ("alexa", "majestic")
         assert index.history("d0.com", "alexa")[0][1] == 1
         assert index.history("d0.com", "majestic")[0][1] == 2
@@ -241,7 +258,7 @@ class TestIndexRules:
 def test_indexed_history_beats_archive_scan_tenfold(bench_run):
     """The index must answer history ≥ 10× faster than scanning the archive."""
     alexa = bench_run.archives["alexa"]
-    index = DomainIndex.from_archives(bench_run.archives)
+    index = _index_of(*bench_run.archives.values())
     # Every 40th name of the first day plus the last day's tail: present
     # throughout, dropped early, and late arrivals.
     probes = list(dict.fromkeys(list(alexa[0].entries[::40])

@@ -247,13 +247,13 @@ class TestPoolWritePath:
         assert status == 200
         assert headers.get("X-Repro-Forwarded") == "writer"
         # The writer only appended: it serves no reads, so it never
-        # loaded an archive or extended the delta engine.
+        # adopted a day or extended the delta engine.
         status, _, text = _get(
             f"http://127.0.0.1:{pool.writer_port}/v1/metrics")
         writer = parse_exposition(text.decode("utf-8"))
         assert status == 200
         assert writer["repro_store_appends_total"] >= 1
-        assert writer["repro_store_archive_loads_total"] == 0
+        assert writer["repro_service_adopt_seconds_count"] == 0
         assert writer["repro_delta_extends_total"] == 0
         # The forwarding reader refreshed synchronously: read-your-writes.
         # Every *other* reader converges within the staleness bound; the
