@@ -193,19 +193,39 @@ def _assert_same_index(got: DomainIndex, want: DomainIndex,
             want.base_intervals(base, "prop"), base
 
 
+class TestBulkBuildParity:
+    """The bulk build (a provider with no indexed days) against per-day adds."""
+
+    @given(_archive_days)
+    @settings(max_examples=30, deadline=None)
+    def test_bulk_build_equals_per_snapshot_add(self, days):
+        archive = _build_archive(days)
+        _assert_same_index(_index_of(archive),
+                           _index_in_batches(archive, range(1, len(days))),
+                           archive)
+
+    @given(_archive_days)
+    @settings(max_examples=20, deadline=None)
+    def test_provider_with_days_falls_back_to_add(self, days):
+        # Once the provider has an indexed day, ``add`` takes the per-day
+        # loop for the rest of the archive.
+        archive = _build_archive(days)
+        index = _index_in_batches(archive, [1])
+        _assert_same_index(index, _index_in_batches(archive, range(1, len(days))),
+                           archive)
+
+
 class TestOneAddEntryPoint:
     """One ``add`` of a whole archive against any split of its days."""
 
     @given(_archive_days, st.data())
     @settings(max_examples=30, deadline=None)
-    def test_one_add_equals_per_day_and_batched_adds(self, days, data):
+    def test_one_add_equals_any_batch_split(self, days, data):
         archive = _build_archive(days)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(days) - 1)),
                                 label="cuts"))
-        whole = _index_of(archive)
-        _assert_same_index(_index_in_batches(archive, range(1, len(days))),
-                           whole, archive)
-        _assert_same_index(_index_in_batches(archive, cuts), whole, archive)
+        _assert_same_index(_index_in_batches(archive, cuts),
+                           _index_of(archive), archive)
 
     def test_empty_archive(self):
         index = _index_of(ListArchive(provider="prop"))
