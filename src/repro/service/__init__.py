@@ -10,9 +10,9 @@ answer queries without rebuilding the world per request:
   seeds the interner's base-id column from its stored bases, so the
   :mod:`repro.core.cache` delta engine PSL-parses nothing on load.
 * :mod:`repro.service.index` — :class:`DomainIndex`, a domain-centric
-  inverted index (``domain → provider → [(date, rank)]`` plus base-domain
-  membership intervals) answering rank-history, longevity and
-  days-in-top-k queries without an archive scan.
+  inverted index (``domain → provider → [(date, rank)]``) answering
+  rank-history, longevity and days-in-top-k queries without an archive
+  scan.
 * :mod:`repro.service.api` — :class:`QueryService`, the deterministic
   JSON query layer behind the ``repro-serve`` HTTP endpoints, with an
   LRU result cache keyed on the store version and ETag revalidation.

@@ -41,7 +41,8 @@ Responses carry a strong ETag (SHA-256 of the body) and honour
 ``If-None-Match``; bodies are memoised in a bounded LRU keyed on
 ``(store.version, canonical request)``, so a mutation-free store serves
 repeated queries from memory and any append invalidates everything at
-once.
+once: the first read at a new version drops the older versions' bodies,
+which no request can hit any more.
 
 **Consistency model.**  One lock guards *all* shared state — the LRU,
 the materialised archives and index, and the version the cache key is
@@ -52,10 +53,12 @@ version and its body are read/produced inside one continuous lock hold.
 atomic manifest publish); it never touches the archives or the index.
 Those change in one place, :meth:`QueryService._refresh`, which every
 read runs first: per provider it replays the store's days after the
-loaded tail (every day, on a cold start) through the delta engine
-(:func:`repro.core.cache.extend_base_id_sets`) and hands the archive to
-:meth:`~repro.service.index.DomainIndex.add`.  The same step serves a
-cold start, an in-process ingest, a direct ``store.append``, a
+loaded tail (every day, on a cold start) through
+:func:`repro.core.cache.extend_base_id_sets`, which carries forward the
+base-domain sets an earlier ``/v1/compare`` built, and hands the archive
+to :meth:`~repro.service.index.DomainIndex.add`.  Indexing builds no
+base-domain sets; the first compare per variant does.  The same step
+serves a cold start, an in-process ingest, a direct ``store.append``, a
 follower's replicated appends and a pool reader's disk refresh.  Once
 an ingest response is on the wire, every subsequent read observes the
 new day.
@@ -364,6 +367,8 @@ class QueryService:
         #: Cross-worker payload segment (:meth:`attach_shared_cache`).
         self._shared_cache = None
         self._result_cache: OrderedDict[tuple[int, str], Response] = OrderedDict()
+        #: The store version the LRU's entries are keyed to.
+        self._cache_version: Optional[int] = None
         self._archives: dict[str, ListArchive] = {}
         self._index = DomainIndex()
         self._loaded_version: Optional[int] = None
@@ -1071,6 +1076,13 @@ class QueryService:
             })
         with self._lock:
             version = self.store.version
+            if version != self._cache_version:
+                # The store version only grows, so no request can hit an
+                # older version's body again: drop them all now rather
+                # than let them age out behind newer entries.
+                self._cache_evictions += len(self._result_cache)
+                self._result_cache.clear()
+                self._cache_version = version
             cache_key = (version, canonical)
             cached = self._result_cache.get(cache_key)
             if cached is not None:
@@ -1094,11 +1106,7 @@ class QueryService:
                         "X-Repro-Store-Version": str(version),
                         "X-Repro-Cache": "shared",
                     })
-                    self._result_cache[cache_key] = Response(
-                        response.status, body, dict(response.headers))
-                    while len(self._result_cache) > self.cache_size:
-                        self._result_cache.popitem(last=False)
-                        self._cache_evictions += 1
+                    self._remember(cache_key, response)
                     return response
             body = self._route(path, params)  # ApiError propagates
             self._cache_misses += 1
@@ -1111,17 +1119,22 @@ class QueryService:
             })
             # Payloads are deterministic per version, so two threads
             # racing to fill the same key store identical bodies.
-            self._result_cache[cache_key] = Response(
-                response.status, body, dict(response.headers))
-            while len(self._result_cache) > self.cache_size:
-                self._result_cache.popitem(last=False)
-                self._cache_evictions += 1
+            self._remember(cache_key, response)
             if shared is not None:
                 # Publish after the local insert: a racing worker putting
                 # the same key appends identical bytes (determinism per
                 # version), so ordering does not matter for correctness.
                 shared.put(version, canonical, body, etag)
         return response
+
+    def _remember(self, cache_key: tuple[int, str],
+                  response: Response) -> None:
+        """Insert a copy of ``response`` into the LRU, evicting the oldest."""
+        self._result_cache[cache_key] = Response(
+            response.status, response.body, dict(response.headers))
+        while len(self._result_cache) > self.cache_size:
+            self._result_cache.popitem(last=False)
+            self._cache_evictions += 1
 
     def _answer_post(self, target: str, headers: Optional[Mapping[str, str]],
                      body: bytes) -> Response:

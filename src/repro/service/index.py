@@ -4,21 +4,15 @@ Every per-domain question the paper's stability sections ask — "what was
 example.com's Alexa rank over January?", "how many days was it listed?",
 "how long did it stay in the Top 1k?" — today costs a full archive scan:
 ``O(days × list size)`` per domain.  :class:`DomainIndex` inverts the
-archives once into
-
-* ``domain id → provider → uint32 postings``: one interleaved
-  ``(date ordinal, rank)`` array per domain, appended in date order —
-  eight bytes per observation, no boxed tuples, binary-searchable for
-  windowed history; and
-* ``base-domain id → provider → membership intervals`` built from the
-  same day-over-day deltas the :func:`repro.core.cache.archive_base_id_sets`
-  engine computes (shared via the archive's cache, so an analysis that
-  already asked for them costs the index nothing more),
-
-after which rank history, list longevity and days-in-top-k are one
-int-keyed dictionary lookup plus a walk over exactly the domain's own
-postings.  Queries arrive as strings and leave as strings; ids never
-escape the index.
+archives once into ``domain id → provider → uint32 postings``: one
+interleaved ``(date ordinal, rank)`` array per domain, appended in date
+order — eight bytes per observation, no boxed tuples, binary-searchable
+for windowed history — after which rank history, list longevity and
+days-in-top-k are one int-keyed dictionary lookup plus a walk over
+exactly the domain's own postings.  Queries arrive as strings and
+leave as strings; ids never escape the index.  Indexing builds no
+base-domain sets: the one served view that needs them (``/v1/compare``)
+asks the :mod:`repro.core.cache` delta engine on demand.
 
 :meth:`DomainIndex.add` is the one way days enter the index: it takes a
 provider's archive and indexes the days after that provider's indexed
@@ -33,13 +27,11 @@ from __future__ import annotations
 
 import datetime as dt
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.cache import archive_base_id_sets
 from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
 
@@ -72,30 +64,14 @@ def _bisect_postings(postings: array, ordinal: int) -> int:
 
 
 class _ProviderIndex:
-    """Per-provider posting arrays and base-membership events."""
+    """Per-provider indexed days and posting arrays."""
 
-    __slots__ = ("dates", "observations", "base_events", "prev_bases")
+    __slots__ = ("dates", "observations")
 
     def __init__(self) -> None:
         self.dates: list[int] = []                 # indexed day ordinals
         #: domain id -> interleaved (ordinal, rank) postings, date order.
         self.observations: dict[int, array] = {}
-        #: base-domain id -> [(ordinal, entered?)] transitions, date order.
-        self.base_events: dict[int, list[tuple[int, bool]]] = {}
-        self.prev_bases: frozenset[int] = frozenset()
-
-
-def _advance_bases(state: _ProviderIndex, ordinal: int,
-                   current: frozenset[int]) -> None:
-    """Record the day's base-membership changes and the day itself."""
-    if current != state.prev_bases:
-        events = state.base_events
-        for base in state.prev_bases - current:
-            events[base].append((ordinal, False))
-        for base in current - state.prev_bases:
-            events.setdefault(base, []).append((ordinal, True))
-        state.prev_bases = current
-    state.dates.append(ordinal)
 
 
 def _append_postings(observations: dict[int, array],
@@ -160,7 +136,7 @@ class DomainIndex:
     def __init__(self) -> None:
         self._providers: dict[str, _ProviderIndex] = {}
         #: Posting-list lookups answered (every per-domain query path
-        #: funnels through :meth:`_postings` / :meth:`base_intervals`).
+        #: funnels through :meth:`_postings`).
         #: A plain GIL-atomic int — lookups are ~µs-scale, too hot for
         #: the metrics-registry lock; scraped via ``/v1/metrics``.
         self.lookups = 0
@@ -171,13 +147,10 @@ class DomainIndex:
 
         The archive only ever grows at its end: its days up to the
         indexed tail must be exactly the indexed days, or ``ValueError``.
-        The new days' base-domain sets come from the one delta engine
-        (:func:`~repro.core.cache.archive_base_id_sets`), whose per-day
-        mapping the archive caches.  A provider with no indexed days
-        gets its postings in one bulk build (:func:`_bulk_postings`),
-        which wins on a whole history; later days are appended one at
-        a time, which wins on a day or two.  Both give identical
-        postings.
+        A provider with no indexed days gets its postings in one bulk
+        build (:func:`_bulk_postings`), which wins on a whole history;
+        later days are appended one at a time, which wins on a day or
+        two.  Both give identical postings.
         """
         state = self._providers.get(archive.provider)
         indexed = state.dates if state is not None else []
@@ -189,16 +162,13 @@ class DomainIndex:
         snapshots = [archive[date] for date in dates[len(indexed):]]
         if not snapshots:
             return
-        per_day = archive_base_id_sets(archive)
         state = self._providers.setdefault(archive.provider, _ProviderIndex())
         if state.dates:
             for snapshot in snapshots:
                 _append_postings(state.observations, snapshot)
         else:
             _bulk_postings(state.observations, snapshots)
-        for snapshot in snapshots:
-            _advance_bases(state, snapshot.date.toordinal(),
-                           per_day[snapshot.date])
+        state.dates.extend(snapshot.date.toordinal() for snapshot in snapshots)
 
     # -- introspection ----------------------------------------------------
     def providers(self) -> tuple[str, ...]:
@@ -243,15 +213,6 @@ class DomainIndex:
         return [(dt.date.fromordinal(postings[2 * i]), postings[2 * i + 1])
                 for i in range(lo, hi)]
 
-    def rank_on(self, domain: str, provider: str, date: dt.date) -> Optional[int]:
-        """The domain's rank on ``date`` (``None`` when not listed)."""
-        postings = self._postings(domain, provider)
-        ordinal = date.toordinal()
-        position = _bisect_postings(postings, ordinal)
-        if 2 * position < len(postings) and postings[2 * position] == ordinal:
-            return postings[2 * position + 1]
-        return None
-
     def longevity(self, domain: str, provider: str) -> DomainLongevity:
         """Days listed plus first/last sighting (Figure 2c's per-domain view)."""
         postings = self._postings(domain, provider)
@@ -267,36 +228,3 @@ class DomainIndex:
         if k <= 0:
             raise ValueError("k must be positive")
         return sum(1 for rank in self._postings(domain, provider)[1::2] if rank <= k)
-
-    def base_intervals(self, base: str, provider: str
-                       ) -> list[tuple[dt.date, Optional[dt.date]]]:
-        """Closed presence intervals of a *base domain* in the list.
-
-        Returns ``[(entered, left), ...]`` where ``left`` is the last
-        indexed date the base was still present (``None`` while it remains
-        listed on the newest indexed day).  Built from the same change
-        events the delta engine produces, so membership follows the
-        paper's base-domain normalisation (footnote 6), not raw FQDNs.
-        """
-        self.lookups += 1
-        state = self._providers.get(provider)
-        if state is None:
-            raise KeyError(f"provider {provider!r} is not indexed")
-        base_id = default_interner().id_of(base)
-        events = state.base_events.get(base_id, []) if base_id is not None else []
-        intervals: list[tuple[dt.date, Optional[dt.date]]] = []
-        entered: Optional[int] = None
-        for ordinal, present in events:
-            if present:
-                entered = ordinal
-            elif entered is not None:
-                # The base left on `ordinal`: last present day is the
-                # provider's previous indexed date.
-                position = bisect_left(state.dates, ordinal)
-                last_present = state.dates[position - 1]
-                intervals.append((dt.date.fromordinal(entered),
-                                  dt.date.fromordinal(last_present)))
-                entered = None
-        if entered is not None:
-            intervals.append((dt.date.fromordinal(entered), None))
-        return intervals

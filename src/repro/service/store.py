@@ -15,13 +15,12 @@ private per-shard string table:
   snapshot costs four bytes per entry, not its strings.
 * **Chunked records (format v3).**  A day's id column is split into
   fixed-size rank-range chunks (:data:`CHUNK_ENTRIES`), each compressed
-  independently behind a per-record chunk directory.  Whole-day loads
-  inflate chunk by chunk straight into the id column;
-  :meth:`ArchiveStore.load_head` and :meth:`ArchiveStore.rank_of_id`
-  inflate *only* the chunks a head or point query touches — on a
-  1M-entry day a ``top(1000)`` costs one chunk, not four megabytes.
-  Manifests of any other format version, or without a mutation log,
-  are refused.
+  independently behind a per-record chunk directory.  Loads inflate
+  chunk by chunk straight into the id column, so a day never needs one
+  whole-day decompression buffer, and
+  :meth:`ArchiveStore.iter_snapshots` skips the records before its
+  ``after`` day with their chunks still compressed.  Manifests of any
+  other format version, or without a mutation log, are refused.
 * **Columnar loads.**  Opening a store interns the table once into the
   process :func:`~repro.interning.default_interner` (building a table-id
   → process-id translation) and, when the PSL version still matches the
@@ -31,11 +30,11 @@ private per-shard string table:
   id column (:meth:`~repro.providers.base.ListSnapshot.from_ids`): **no
   domain string is materialised per day**.  :meth:`ArchiveStore.load_archive`
   collects the whole walk; a query service replays only the days after
-  its loaded tail.  Per-day base-domain sets come from
-  the one :mod:`repro.core.cache` delta engine, which on a seeded column
-  resolves every id by array index and PSL-parses nothing.  Seeding is
-  skipped (never wrong, just slower) when the default PSL has changed
-  since append time.
+  its loaded tail.  Per-day base-domain sets are built only on demand
+  (a ``/v1/compare``), by the one :mod:`repro.core.cache` delta engine,
+  which on a seeded column resolves every id by array index and
+  PSL-parses nothing.  Seeding is skipped (never wrong, just slower)
+  when the default PSL has changed since append time.
 * **Reports.**  Byte-reproducible :class:`~repro.scenarios.runner.ScenarioReport`
   JSON documents are stored alongside the shards, so the query API serves
   them as static bytes instead of re-running scenarios per request.
@@ -66,7 +65,6 @@ import json
 import mmap
 import os
 import struct
-import sys
 import threading
 import time
 import zlib
@@ -99,8 +97,8 @@ _U32 = struct.Struct("<I")
 #: the file format — readers trust each record's chunk directory), so
 #: tests may patch it small to exercise many-chunk records with tiny
 #: lists.  16k entries ≈ 64 KiB raw per chunk: large enough that zlib
-#: compresses well, small enough that a ``top(1000)`` or point query on
-#: a 1M-entry day decompresses ~1/64th of it.
+#: compresses well, small enough that a 1M-entry day inflates through a
+#: 64 KiB buffer rather than a 4 MB one.
 CHUNK_ENTRIES = 16_384
 
 FORMAT_VERSION = 3
@@ -150,10 +148,10 @@ class _TableState:
     id).  Two numpy lookup tables derive from ``gids``, so a day
     translates with one gather instead of a per-entry Python loop:
 
-    * process id -> store id (:data:`_NO_SID` when absent), for appends
-      and point queries; built once the table is loaded and kept
-      current by :meth:`append` and :meth:`truncate`, all under the
-      store's write lock.
+    * process id -> store id (:data:`_NO_SID` when absent), for
+      appends; built once the table is loaded and kept current by
+      :meth:`append` and :meth:`truncate`, all under the store's write
+      lock.
     * store id -> process id (:meth:`gid_table`), for loads: a copy of
       ``gids`` grown only up to a *published* entry count.  Published
       entries never change, so a reader may keep using an older,
@@ -270,26 +268,9 @@ def _encode_table_entry(name: str, base_sid: int) -> bytes:
     return _U16.pack(len(raw)) + raw + _U32.pack(base_sid)
 
 
-def _unpack_ids(raw: bytes) -> array:
-    """Decode little-endian uint32 bytes into an id array (no boxing)."""
-    ids = array("I")
-    ids.frombytes(raw)
-    if sys.byteorder != "little":
-        ids.byteswap()
-    return ids
-
-
 #: One record's payload as ``[(entry_count, compressed_bytes), ...]`` —
-#: still compressed, so consumers inflate only the chunks they touch.
+#: still compressed, so a walk that skips a record inflates nothing.
 _Chunks = list[tuple[int, memoryview]]
-
-
-def _decode_chunks(chunks: _Chunks) -> array:
-    """Inflate every chunk of a record into one store-id column."""
-    ids = array("I")
-    for _count, raw in chunks:
-        ids += _unpack_ids(zlib.decompress(raw))
-    return ids
 
 
 def _shard_view(path: Path) -> "bytes | memoryview":
@@ -317,11 +298,11 @@ def _iter_shard_records(data: "bytes | memoryview", path: Path, limit: int,
     """Yield ``(ordinal, psl_version, chunks, end_offset)`` per record.
 
     ``chunks`` is the record's still-compressed chunk list —
-    decompression is the caller's choice, per chunk, so point and head
-    queries inflate only the rank ranges they touch.  ``limit`` bounds
-    the walk to the manifest's record count (bytes past it are an
-    orphaned tail); with ``decode_payload=False`` the payload is skipped
-    entirely (the truncation scan of the append path).
+    decompression is the caller's choice, so a walk that skips a record
+    inflates none of it.  ``limit`` bounds the walk to the manifest's
+    record count (bytes past it are an orphaned tail); with
+    ``decode_payload=False`` the payload is skipped entirely (the
+    truncation scan of the append path).
     """
     offset = 0
     total = len(data)
@@ -1013,18 +994,14 @@ class ArchiveStore:
             manifest = self._manifest
         return table.gid_table(manifest["interner"]["entries"])
 
-    def _translate(self, chunks: _Chunks, gid_table: np.ndarray,
-                   limit: Optional[int] = None) -> array:
+    def _translate(self, chunks: _Chunks, gid_table: np.ndarray) -> array:
         """Inflate ``chunks`` into a rank-ordered process-id column.
 
         One gather through ``gid_table`` per chunk, no per-entry Python
-        step; with ``limit``, chunks stop inflating once that many
-        leading entries are decoded.
+        step.
         """
         ids = array("I")
         for _count, raw in chunks:
-            if limit is not None and len(ids) >= limit:
-                break
             sids = np.frombuffer(self._inflate(raw), "<u4")
             ids.frombytes(gid_table[sids].view(np.uint8))
         return ids
@@ -1093,43 +1070,6 @@ class ArchiveStore:
         entry_gids = self._translate(chunks, self._gid_table())
         return ListSnapshot.from_ids(provider=provider, date=date,
                                      ids=entry_gids)
-
-    def load_head(self, provider: str, date: dt.date, n: int) -> ListSnapshot:
-        """Load only the top-``n`` head of one stored day.
-
-        Decompresses just the leading ``ceil(n / chunk)`` chunks of the
-        day's record — on a chunked (v3) 1M-entry day a ``top(1000)``
-        inflates one chunk, not the megabytes behind it.
-        """
-        if n <= 0:
-            raise ValueError("n must be positive")
-        chunks = self._record_chunks(provider, date)
-        entry_gids = self._translate(chunks, self._gid_table(), limit=n)
-        del entry_gids[n:]
-        return ListSnapshot.from_ids(provider=provider, date=date,
-                                     ids=entry_gids)
-
-    def rank_of_id(self, provider: str, date: dt.date,
-                   domain_id: int) -> Optional[int]:
-        """1-based rank of an interned id on one stored day, or ``None``.
-
-        A point query: the store-id is resolved through the table's
-        process-id lookup table, then the day's chunks are inflated one
-        at a time until the id is found — unmatched chunks ahead of it
-        are the only decompression paid, and chunks behind it are never
-        touched.
-        """
-        sid = self._table().sid_of(domain_id)
-        if sid is None:
-            return None
-        rank_base = 0
-        for count, raw in self._record_chunks(provider, date):
-            chunk = _unpack_ids(self._inflate(raw))
-            try:
-                return rank_base + chunk.index(sid) + 1
-            except ValueError:
-                rank_base += len(chunk)
-        return None
 
     def load_archive(self, provider: str) -> ListArchive:
         """Rebuild the provider's full archive, without materialising strings.

@@ -411,6 +411,24 @@ class TestHealthSatellite:
         assert payload["cache"]["entries"] == 1
 
 
+    def test_superseded_versions_leave_the_lru(self, tmp_path):
+        service = _small_service(tmp_path)
+        target = "/v1/domains/a.com/history"
+        service.handle_request("/v1/meta")
+        service.handle_request(target)
+        body = json.dumps({"provider": "alexa", "date": "2018-01-03",
+                           "entries": ["a.com"]}).encode()
+        assert service.handle_request(
+            "/v1/ingest", method="POST", body=body).status == 200
+        assert service.handle_request(target).status == 200
+        cache = service.handle_request("/v1/health").json()["cache"]
+        # Only the read at the current version stays; the two bodies of
+        # the superseded version are dropped and counted as evictions.
+        assert cache["entries"] == 1
+        assert cache["evictions"] == 2
+        assert _scrape(service)["repro_cache_evictions_total"] == 2
+
+
 class TestErrorCounters:
     def _delta(self, before, after, name):
         return after.get(name, 0) - before.get(name, 0)

@@ -22,7 +22,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.service.store as store_module
 from repro.core.intersection import intersection_over_time
 from repro.core.stability import (cumulative_unique_domains, days_in_list,
                                   mean_daily_change, new_domains_per_day)
@@ -65,36 +64,6 @@ class TestStoreOracles:
                 loaded = corpus.store.load_snapshot(provider, snapshot.date)
                 assert bytes(loaded.entry_ids()) == bytes(snapshot.entry_ids())
 
-    def test_head_loads_match_archive_prefixes(self, corpus):
-        scale = corpus.scale
-        # Head sizes around every structural edge that exists at this
-        # scale: singleton, the analysis head, the store's chunk size ±1,
-        # and the full list.
-        sizes = {1, scale.analysis_top_k, scale.list_size,
-                 store_module.CHUNK_ENTRIES - 1, store_module.CHUNK_ENTRIES,
-                 store_module.CHUNK_ENTRIES + 1}
-        sizes = sorted(n for n in sizes if 1 <= n <= scale.list_size)
-        for provider, archive in corpus.archives.items():
-            last = archive[len(archive) - 1]
-            expected = last.entry_ids()
-            for n in sizes:
-                head = corpus.store.load_head(provider, last.date, n)
-                assert bytes(head.entry_ids()) == bytes(expected[:n])
-
-    def test_point_rank_queries_match_archive(self, corpus):
-        scale = corpus.scale
-        ranks = sorted({1, 2, scale.analysis_top_k, scale.list_size // 2,
-                        scale.list_size})
-        for provider, archive in corpus.archives.items():
-            last = archive[len(archive) - 1]
-            ids = last.entry_ids()
-            for rank in ranks:
-                got = corpus.store.rank_of_id(provider, last.date,
-                                              ids[rank - 1])
-                assert got == rank
-            absent = default_interner().intern("never-in-any-list.example")
-            assert corpus.store.rank_of_id(provider, last.date, absent) is None
-
 
 class TestIndexOracles:
     def test_index_from_store_matches_brute_archive_scan(self, corpus):
@@ -126,9 +95,6 @@ class TestIndexOracles:
                 assert index.history(name, provider) == expected
                 assert index.longevity(name, provider).days_listed == \
                     len(expected)
-                probe_date = last.date if not expected else expected[-1][0]
-                brute = dict(expected).get(probe_date)
-                assert index.rank_on(name, provider, probe_date) == brute
 
 
 def array_of(ids):
@@ -224,9 +190,8 @@ def _traced_peak(fn):
 def ingested(request, tmp_path_factory):
     """A preset's corpus appended day by day into a chunked store.
 
-    Records each append's wall time and, on the last day of the first
-    provider, the tracemalloc peaks of a head query and a full-day load
-    and a point query's answer.
+    Records each append's wall time and the size of the first
+    provider's last day loaded back whole.
     """
     scale = get_scale(request.param)
     archives = synthetic_archives(scale)
@@ -239,19 +204,10 @@ def ingested(request, tmp_path_factory):
                 store.append(snapshot)
                 append_seconds.append(time.perf_counter() - start)
         provider = scale.providers[0]
-        last = store.dates(provider)[-1]
-        top_k = scale.analysis_top_k
-        # Warm once: the lazy table translation is store-open cost.
-        head = store.load_head(provider, last, top_k)
-        _, head_peak = _traced_peak(lambda: store.load_head(provider, last, top_k))
-        probe_rank = store.rank_of_id(provider, last, head.entry_ids()[top_k - 1])
-        full, full_peak = _traced_peak(lambda: store.load_snapshot(provider, last))
-        full_size = len(full)
-        del full
+        full_size = len(store.load_snapshot(provider,
+                                            store.dates(provider)[-1]))
     yield SimpleNamespace(scale=scale, archives=archives,
-                          append_seconds=append_seconds, head_peak=head_peak,
-                          full_peak=full_peak, probe_rank=probe_rank,
-                          full_size=full_size)
+                          append_seconds=append_seconds, full_size=full_size)
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +235,7 @@ def battery(ingested):
 
 
 class TestNativeScaleGates:
-    """Time and memory floors of ingest, lazy queries and the analyses."""
+    """Time and memory floors of ingest and the analyses, plus a full-day load."""
 
     def test_steady_state_append_under_one_second(self, ingested):
         # The first append bootstraps the store's table with every name;
@@ -289,16 +245,8 @@ class TestNativeScaleGates:
             f"steady-state append of a {ingested.scale.list_size:,}-entry "
             f"day took {median:.2f}s")
 
-    def test_point_and_full_day_queries_answer(self, ingested):
-        assert ingested.probe_rank == ingested.scale.analysis_top_k
+    def test_full_day_query_answers(self, ingested):
         assert ingested.full_size == ingested.scale.list_size
-
-    def test_head_query_peak_well_below_full_day_load(self, ingested):
-        if ingested.scale.list_size < 16 * store_module.CHUNK_ENTRIES:
-            pytest.skip("a day this small spans too few chunks to compare")
-        assert ingested.head_peak < ingested.full_peak / 4, (
-            f"head query peak {ingested.head_peak} B vs full-day load "
-            f"{ingested.full_peak} B")
 
     def test_analysis_battery_under_memory_budget(self, ingested, battery):
         budget = ingested.scale.memory_budget_bytes

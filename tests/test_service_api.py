@@ -154,29 +154,34 @@ class TestStabilityParity:
         assert response.body == json_bytes(expected)
 
 
+def _compare_bytes(archives, top_n=None):
+    """The ``/v1/compare`` document built straight from the core call."""
+    names = sorted(archives)
+    series = intersection_over_time(archives, top_n=top_n)
+    per_pair, daily = {}, {}
+    for date, matrix in series.items():
+        row = {"&".join(pair): count for pair, count in matrix.items()}
+        daily[date.isoformat()] = row
+        for pair, count in row.items():
+            per_pair.setdefault(pair, []).append(count)
+    return json_bytes({
+        "providers": names,
+        "top_n": top_n,
+        "days": len(series),
+        "pairs": {pair: {"mean": canonical_float(sum(c) / len(c)),
+                         "min": min(c), "max": max(c)}
+                  for pair, c in sorted(per_pair.items())},
+        "series": daily,
+    })
+
+
 class TestCompareParity:
     def test_byte_identical_to_intersection_over_time(self, service, small_run):
         names = ["alexa", "majestic", "umbrella"]
-        series = intersection_over_time(
-            {name: small_run.archives[name] for name in names}, top_n=100)
-        per_pair, daily = {}, {}
-        for date, matrix in series.items():
-            row = {"&".join(pair): count for pair, count in matrix.items()}
-            daily[date.isoformat()] = row
-            for pair, count in row.items():
-                per_pair.setdefault(pair, []).append(count)
-        expected = {
-            "providers": names,
-            "top_n": 100,
-            "days": len(series),
-            "pairs": {pair: {"mean": canonical_float(sum(c) / len(c)),
-                             "min": min(c), "max": max(c)}
-                      for pair, c in sorted(per_pair.items())},
-            "series": daily,
-        }
         response = service.handle_request(
             "/v1/compare?providers=alexa,majestic,umbrella&top_n=100")
-        assert response.body == json_bytes(expected)
+        assert response.body == _compare_bytes(
+            {name: small_run.archives[name] for name in names}, top_n=100)
 
     def test_needs_two_providers(self, service):
         assert service.handle_request("/v1/compare?providers=alexa").status == 400
@@ -534,6 +539,49 @@ class TestAdoptionStep:
             want.headers["X-Repro-Store-Version"]
         assert got.json()["providers"]["alexa"]["days"] == 5
         assert got.body == want.body
+
+
+class TestBaseSetsOnDemand:
+    """Adoption builds no base-domain sets; only ``/v1/compare`` does."""
+
+    TARGET = "/v1/compare?providers=alexa,umbrella"
+
+    @staticmethod
+    def _base_set_keys(service):
+        return [key for archive in service._archives.values()
+                for key in archive.__dict__.get("_analysis_cache", {})
+                if key[0] == "base-domain-sets"]
+
+    def _assert_compare_is_fresh(self, service, root):
+        """The answer equals a new service's and the core computation's."""
+        got = service.handle_request(self.TARGET)
+        reopened = ArchiveStore(root, create=False, read_only=True)
+        want = QueryService(reopened).handle_request(self.TARGET)
+        assert got.status == want.status == 200
+        assert got.body == want.body
+        assert got.body == _compare_bytes(
+            {name: reopened.load_archive(name)
+             for name in ("alexa", "umbrella")})
+
+    def test_untruncated_compare_builds_and_carries_base_sets(self, tmp_path):
+        root = tmp_path / "s"
+        writer = _adoption_store(root)
+        reader = QueryService(ArchiveStore(root, create=False, read_only=True))
+        assert reader.handle_request("/v1/meta").status == 200
+        assert reader.handle_request("/v1/domains/a.com/history").status == 200
+        assert self._base_set_keys(reader) == []
+
+        self._assert_compare_is_fresh(reader, root)
+        assert len(self._base_set_keys(reader)) == 2
+
+        for provider in ("alexa", "umbrella"):
+            writer.append(ListSnapshot(
+                provider=provider, date=dt.date(2018, 1, 4),
+                entries=("www.a.com", "late.example", "b.com")))
+        assert reader.refresh_from_disk()
+        # Adoption carried both providers' sets forward by the new day.
+        assert len(self._base_set_keys(reader)) == 2
+        self._assert_compare_is_fresh(reader, root)
 
 
 class TestBatchQuery:

@@ -2,8 +2,8 @@
 
 The index's whole contract is "same answers as a brute-force scan over the
 archive's snapshots, without the scan".  For arbitrary small archives this
-asserts exactly that — for rank history (windowed and full), longevity,
-days-in-top-k and base-domain membership intervals — and that the answers
+asserts exactly that — for rank history (windowed and full), longevity
+and days-in-top-k — and that the answers
 survive an :class:`~repro.service.store.ArchiveStore` round trip and any
 split of an archive's days across ``add()`` calls, down to identical
 posting arrays.
@@ -22,15 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import extend_base_id_sets, snapshot_base_ids
-from repro.interning import default_interner
+from repro.core.cache import extend_base_id_sets
 from repro.providers.base import ListArchive, ListSnapshot
 from repro.service.index import DomainIndex
 from repro.service.store import ArchiveStore
 
 # --------------------------------------------------------------------------
-# Strategies: a pool of FQDNs (several per base domain, so base-level and
-# FQDN-level views genuinely differ), archives as per-day subsets.
+# Strategies: a pool of FQDNs (several per base domain), archives as
+# per-day subsets.
 # --------------------------------------------------------------------------
 
 _POOL = tuple(
@@ -72,26 +71,6 @@ def _scan_history(archive: ListArchive, domain: str,
     return observations
 
 
-def snapshot_base_names(snapshot: ListSnapshot) -> frozenset[str]:
-    return frozenset(default_interner().domains(snapshot_base_ids(snapshot)))
-
-
-def _scan_base_intervals(archive: ListArchive, base: str):
-    intervals, entered, last_present = [], None, None
-    for snapshot in archive:
-        present = base in snapshot_base_names(snapshot)
-        if present:
-            if entered is None:
-                entered = snapshot.date
-            last_present = snapshot.date
-        elif entered is not None:
-            intervals.append((entered, last_present))
-            entered = None
-    if entered is not None:
-        intervals.append((entered, None))
-    return intervals
-
-
 def _assert_parity(index: DomainIndex, archive: ListArchive,
                    provider: str = "prop") -> None:
     dates = archive.dates()
@@ -108,14 +87,6 @@ def _assert_parity(index: DomainIndex, archive: ListArchive,
         for k in (1, 3, 10):
             assert (index.days_in_top_k(domain, provider, k)
                     == sum(1 for _, rank in expected if rank <= k)), (domain, k)
-        for date in dates:
-            scan_rank = next((r for d, r in expected if d == date), None)
-            assert index.rank_on(domain, provider, date) == scan_rank
-    bases = {base for snapshot in archive
-             for base in snapshot_base_names(snapshot)}
-    for base in sorted(bases) + ["never-listed.example"]:
-        assert (index.base_intervals(base, provider)
-                == _scan_base_intervals(archive, base)), base
 
 
 def _index_of(*archives: ListArchive) -> DomainIndex:
@@ -180,17 +151,12 @@ def _provider_state(index: DomainIndex, provider: str = "prop"):
     state = index._providers.get(provider)
     if state is None:
         return None
-    return state.dates, state.observations, state.base_events, state.prev_bases
+    return state.dates, state.observations
 
 
-def _assert_same_index(got: DomainIndex, want: DomainIndex,
-                       archive: ListArchive) -> None:
-    """Every domain's postings array and every base interval agree."""
+def _assert_same_index(got: DomainIndex, want: DomainIndex) -> None:
+    """The indexed days and every domain's postings array agree."""
     assert _provider_state(got) == _provider_state(want)
-    for base in sorted({base for snapshot in archive
-                        for base in snapshot_base_names(snapshot)}):
-        assert got.base_intervals(base, "prop") == \
-            want.base_intervals(base, "prop"), base
 
 
 class TestBulkBuildParity:
@@ -201,8 +167,7 @@ class TestBulkBuildParity:
     def test_bulk_build_equals_per_snapshot_add(self, days):
         archive = _build_archive(days)
         _assert_same_index(_index_of(archive),
-                           _index_in_batches(archive, range(1, len(days))),
-                           archive)
+                           _index_in_batches(archive, range(1, len(days))))
 
     @given(_archive_days)
     @settings(max_examples=20, deadline=None)
@@ -211,8 +176,7 @@ class TestBulkBuildParity:
         # loop for the rest of the archive.
         archive = _build_archive(days)
         index = _index_in_batches(archive, [1])
-        _assert_same_index(index, _index_in_batches(archive, range(1, len(days))),
-                           archive)
+        _assert_same_index(index, _index_in_batches(archive, range(1, len(days))))
 
 
 class TestOneAddEntryPoint:
@@ -224,8 +188,7 @@ class TestOneAddEntryPoint:
         archive = _build_archive(days)
         cuts = sorted(data.draw(st.sets(st.integers(1, len(days) - 1)),
                                 label="cuts"))
-        _assert_same_index(_index_in_batches(archive, cuts),
-                           _index_of(archive), archive)
+        _assert_same_index(_index_in_batches(archive, cuts), _index_of(archive))
 
     def test_empty_archive(self):
         index = _index_of(ListArchive(provider="prop"))
@@ -235,7 +198,7 @@ class TestOneAddEntryPoint:
     def test_one_day_archive(self):
         archive = _build_archive([["www.d0.com", "d1.co.uk", "d0.com"]])
         index = _index_of(archive)
-        _assert_same_index(index, _index_in_batches(archive, []), archive)
+        _assert_same_index(index, _index_in_batches(archive, []))
         assert index.history("d0.com", "prop") == [(archive.dates()[0], 3)]
 
 
