@@ -66,10 +66,11 @@ bench:
 	done
 
 ## The per-figure paper-reproduction timings (benchmarks/test_bench_*.py)
-## under pytest-benchmark, raw JSON under .perfbench/.
+## under pytest-benchmark, raw JSON under .perfbench/; -s shows each
+## reproduced table/figure (README "Paper results -> code" maps them).
 bench-suite:
 	mkdir -p .perfbench
-	$(PYTHON) -m pytest benchmarks --benchmark-only -q \
+	$(PYTHON) -m pytest benchmarks --benchmark-only -q -s \
 		--benchmark-json=.perfbench/bench-suite.json
 
 ## The CI scale-out smoke: 4-worker pool + follower behind

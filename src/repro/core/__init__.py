@@ -43,7 +43,6 @@ from repro.core.intersection import (
     disjunct_domains,
     intersection_matrix,
     intersection_over_time,
-    pairwise_intersection,
 )
 from repro.core.rank_dynamics import (
     RankVariation,
@@ -110,7 +109,6 @@ __all__ = [
     "mean_daily_change",
     "new_domains_per_day",
     "normalise_to_base_domains",
-    "pairwise_intersection",
     "rank_variation",
     "sld_group_dynamics",
     "snapshot_base_ids",

@@ -11,7 +11,7 @@ falling behind (▼), or not deviating (■) per the paper's rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.stats.summary import DeviationFlag, MeanStd, classify_deviation, mean_std
 
@@ -137,16 +137,3 @@ class ComparisonTable:
             base = f"{row.base_value.mean:.{precision}f} ± {row.base_value.std:.{precision}f}"
             lines.append("\t".join([name] + cells + [base]))
         return "\n".join(lines)
-
-
-def compare_single_day(characteristic: str,
-                       values: Mapping[str, float],
-                       base_target: str) -> CharacteristicComparison:
-    """Convenience: build a one-row comparison from single-day values.
-
-    Used for the TLS/HSTS rows of Table 5, which the paper measured on a
-    single day per list.
-    """
-    table = ComparisonTable(base_target=base_target)
-    samples: dict[str, Iterable[float]] = {k: [v] for k, v in values.items()}
-    return table.add_characteristic(characteristic, samples)

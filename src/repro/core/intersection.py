@@ -54,13 +54,6 @@ def _matrix_from_sets(sets: Mapping[str, frozenset]) -> dict[tuple[str, ...], in
     return result
 
 
-def pairwise_intersection(a: ListSnapshot, b: ListSnapshot,
-                          normalise: bool = True,
-                          psl: Optional[PublicSuffixList] = None) -> int:
-    """Number of (base) domains shared by two snapshots."""
-    return len(_id_set(a, normalise, psl) & _id_set(b, normalise, psl))
-
-
 def intersection_matrix(snapshots: Mapping[str, ListSnapshot],
                         normalise: bool = True,
                         psl: Optional[PublicSuffixList] = None

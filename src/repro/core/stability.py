@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
+from repro.stats.distributions import empirical_cdf_points
 from repro.stats.summary import median
 
 
@@ -124,11 +125,8 @@ def days_in_list_cdf(archive: ListArchive, top_n: Optional[int] = None
     Returns (share of days, cumulative probability) points; lines closer
     to the lower-right corner indicate a more stable list (Figure 2c).
     """
-    snapshots = _snapshots(archive, top_n)
-    total_days = len(snapshots)
-    if total_days == 0:
-        return []
+    total_days = len(_snapshots(archive, top_n))
     counts = days_in_list(archive, top_n)
-    shares = sorted(count / total_days for count in counts.values())
-    n = len(shares)
-    return [(share, (index + 1) / n) for index, share in enumerate(shares)]
+    if not counts:
+        return []
+    return empirical_cdf_points([count / total_days for count in counts.values()])

@@ -41,10 +41,6 @@ class StructureSummary:
         """Fraction of entries that are base domains (µBD / list size)."""
         return self.base_domains / self.size if self.size else 0.0
 
-    def depth_share(self, depth: int) -> float:
-        """Share of entries at subdomain depth ``depth`` (SD1, SD2, ...)."""
-        return self.depth_shares.get(depth, 0.0)
-
 
 def normalise_to_base_domains(names: Iterable[str],
                               psl: Optional[PublicSuffixList] = None) -> set[str]:

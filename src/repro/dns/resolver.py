@@ -1,21 +1,13 @@
-"""Caching, CNAME-chasing resolver with query logging.
+"""Caching, CNAME-chasing resolver.
 
-Two consumers rely on this module:
-
-* The measurement harness (Section 8.1) resolves A/AAAA/CAA for every
-  domain in a target set, following CNAME chains up to 10 links, exactly
-  as the paper describes for its IPv6-adoption measurement.
-* The Umbrella provider consumes the resolver's *query log*: the Umbrella
-  Top 1M ranks fully-qualified names by how many distinct clients queried
-  them through OpenDNS.  The log therefore records the querying client and
-  whether the answer was served from cache (cached answers would not reach
-  an upstream resolver, the TTL effect studied in Section 7.2).
+The measurement harness (Section 8.1) resolves A/AAAA/CAA for every
+domain in a target set, following CNAME chains up to 10 links, exactly
+as the paper describes for its IPv6-adoption measurement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.dns.errors import ResolutionLoopError
 from repro.dns.records import DnsResponse, Rcode, RecordType, ResourceRecord
@@ -23,18 +15,6 @@ from repro.dns.zone import ZoneDatabase
 
 #: The paper follows chains "of up to 10 CNAMEs".
 MAX_CNAME_CHAIN = 10
-
-
-@dataclass(frozen=True)
-class QueryLogEntry:
-    """One query observed by the resolver (the OpenDNS-style vantage)."""
-
-    qname: str
-    qtype: RecordType
-    client_id: Optional[str]
-    timestamp: float
-    from_cache: bool
-    rcode: Rcode
 
 
 @dataclass
@@ -57,11 +37,6 @@ class Resolution:
         """True when at least one address of the queried type was found."""
         return bool(self.addresses)
 
-    @property
-    def final_name(self) -> str:
-        """Last name in the CNAME chain (or the query name itself)."""
-        return self.cname_chain[-1] if self.cname_chain else self.qname
-
 
 @dataclass
 class _CacheEntry:
@@ -77,14 +52,11 @@ class CachingResolver:
         zone: ZoneDatabase,
         enable_cache: bool = True,
         max_chain: int = MAX_CNAME_CHAIN,
-        log_queries: bool = False,
     ) -> None:
         self._zone = zone
         self._cache: dict[tuple[str, RecordType], _CacheEntry] = {}
         self._enable_cache = enable_cache
         self._max_chain = max_chain
-        self._log_queries = log_queries
-        self._query_log: list[QueryLogEntry] = []
         self._clock: float = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -101,48 +73,27 @@ class CachingResolver:
             raise ValueError("cannot move the clock backwards")
         self._clock += seconds
 
-    # -- query log -------------------------------------------------------
-    @property
-    def query_log(self) -> list[QueryLogEntry]:
-        """Queries observed so far (only populated when logging is on)."""
-        return self._query_log
-
-    def clear_query_log(self) -> None:
-        self._query_log.clear()
-
     def flush_cache(self) -> None:
         """Drop all cached responses."""
         self._cache.clear()
 
     # -- resolution ------------------------------------------------------
-    def query(self, qname: str, qtype: RecordType, client_id: Optional[str] = None) -> DnsResponse:
+    def query(self, qname: str, qtype: RecordType) -> DnsResponse:
         """Answer a single query, consulting the cache first."""
         qname = qname.strip().lower().rstrip(".")
         key = (qname, qtype)
         entry = self._cache.get(key) if self._enable_cache else None
         if entry is not None and entry.expires_at > self._clock:
             self.cache_hits += 1
-            self._log(qname, qtype, client_id, from_cache=True, rcode=entry.response.rcode)
             return entry.response
         self.cache_misses += 1
         response = self._zone.query(qname, qtype)
         if self._enable_cache:
             ttl = min((r.ttl for r in response.answers), default=60)
             self._cache[key] = _CacheEntry(response=response, expires_at=self._clock + ttl)
-        self._log(qname, qtype, client_id, from_cache=False, rcode=response.rcode)
         return response
 
-    def _log(self, qname: str, qtype: RecordType, client_id: Optional[str],
-             from_cache: bool, rcode: Rcode) -> None:
-        if not self._log_queries:
-            return
-        self._query_log.append(QueryLogEntry(
-            qname=qname, qtype=qtype, client_id=client_id,
-            timestamp=self._clock, from_cache=from_cache, rcode=rcode,
-        ))
-
-    def resolve(self, qname: str, qtype: RecordType = RecordType.A,
-                client_id: Optional[str] = None) -> Resolution:
+    def resolve(self, qname: str, qtype: RecordType = RecordType.A) -> Resolution:
         """Resolve ``qname`` following CNAME chains up to the configured limit.
 
         Raises
@@ -157,7 +108,7 @@ class CachingResolver:
         addresses: list[str] = []
         seen: set[str] = set()
         for _ in range(self._max_chain + 1):
-            response = self.query(current, qtype, client_id=client_id)
+            response = self.query(current, qtype)
             rcode = response.rcode
             all_records.extend(response.answers)
             if response.rcode is not Rcode.NOERROR:

@@ -148,8 +148,8 @@ class TldRegistry:
             raise ValueError("empty domain name")
         return domain.rsplit(".", 1)[-1]
 
-    def coverage(self, domains: Iterable[str]) -> TldCoverage:
-        """Count valid and invalid TLDs over ``domains`` (Section 5.1)."""
+    def _tld_counts(self, domains: Iterable[str]) -> tuple[Counter[str], Counter[str]]:
+        """Domains per valid TLD and per invalid TLD (blank names skipped)."""
         valid: Counter[str] = Counter()
         invalid: Counter[str] = Counter()
         for domain in domains:
@@ -161,6 +161,11 @@ class TldRegistry:
                 valid[tld] += 1
             else:
                 invalid[tld] += 1
+        return valid, invalid
+
+    def coverage(self, domains: Iterable[str]) -> TldCoverage:
+        """Count valid and invalid TLDs over ``domains`` (Section 5.1)."""
+        valid, invalid = self._tld_counts(domains)
         return TldCoverage(
             valid_tlds=len(valid),
             invalid_tlds=len(invalid),
@@ -171,12 +176,4 @@ class TldRegistry:
 
     def invalid_tld_histogram(self, domains: Iterable[str]) -> Mapping[str, int]:
         """Return a mapping of invalid TLD -> number of domains using it."""
-        invalid: Counter[str] = Counter()
-        for domain in domains:
-            domain = domain.strip().lower().strip(".")
-            if not domain:
-                continue
-            tld = domain.rsplit(".", 1)[-1]
-            if tld not in self._tlds:
-                invalid[tld] += 1
-        return dict(invalid)
+        return dict(self._tld_counts(domains)[1])

@@ -4,7 +4,10 @@ Runs the paper's measurements — DNS record types (NXDOMAIN, IPv6, CAA),
 hosting infrastructure (CNAME/CDN, origin AS), TLS/HSTS, and HTTP/2 —
 against a *target set* (a top list, a Top-1k head, or the general
 population) over the synthetic Internet, and assembles the Table-5-style
-comparison of lists against the general population.
+comparison of lists against the general population.  Every Table 5
+metric is read through one mapping,
+:data:`repro.measurement.harness.TABLE5_ROWS`, which the Figure 6/8 time
+series share.
 """
 
 from repro.measurement.classify import BlacklistService, MobileTrafficMonitor, classify_disjunct

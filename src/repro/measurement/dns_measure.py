@@ -20,6 +20,7 @@ from repro.domain.name import DomainName
 from repro.domain.psl import PublicSuffixList
 from repro.population.internet import SyntheticInternet
 from repro.routing.asdb import AsDatabase, AsInfo
+from repro.stats.summary import share
 from repro.web.cdn import CdnDetector
 
 
@@ -40,9 +41,7 @@ class DnsCharacteristics:
 
     def share(self, attribute: str) -> float:
         """Percentage share of ``attribute`` (e.g. ``"nxdomain"``) of the total."""
-        if self.total == 0:
-            return 0.0
-        return 100.0 * getattr(self, attribute) / self.total
+        return share(getattr(self, attribute), self.total)
 
     @property
     def nxdomain_share(self) -> float:
@@ -74,11 +73,8 @@ class DnsCharacteristics:
 
     def top_as_share(self, top_n: int = 5) -> float:
         """Share (percent of mapped names) of the ``top_n`` IPv4 origin ASes."""
-        total = sum(self.as_counts_v4.values())
-        if total == 0:
-            return 0.0
         top = sum(count for _, count in self.as_counts_v4.most_common(top_n))
-        return 100.0 * top / total
+        return share(top, sum(self.as_counts_v4.values()))
 
     def top_as(self, top_n: int = 5) -> Mapping[AsInfo, float]:
         """The ``top_n`` IPv4 origin ASes and their shares (fraction)."""

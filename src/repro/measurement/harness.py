@@ -9,7 +9,7 @@ and HTTP/2 measurements of Section 8 against a target set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.measurement.dns_measure import DnsCharacteristics, DnsMeasurement
 from repro.measurement.http2_measure import Http2Characteristics, Http2Measurement
@@ -57,6 +57,28 @@ class TargetSet:
         return cls(name=name, domains=tuple(names))
 
 
+#: Table 5's rows in paper order: metric name -> (row label, the
+#: :class:`MeasurementReport` field the metric reads, its value from that
+#: field).  The field name also names the harness's partial measurement
+#: (``measure_dns`` ...), so daily time series measure only what they read.
+TABLE5_ROWS: dict[str, tuple[str, str, Callable[[Any], float]]] = {
+    "nxdomain": ("NXDOMAIN", "dns", lambda dns: dns.nxdomain_share),
+    "ipv6": ("IPv6-enabled", "dns", lambda dns: dns.ipv6_share),
+    "caa": ("CAA-enabled", "dns", lambda dns: dns.caa_share),
+    "cname": ("CNAMEs", "dns", lambda dns: dns.cname_share),
+    "cdn": ("CDNs (via CNAME)", "dns", lambda dns: dns.cdn_share),
+    "unique_as_v4": ("Unique AS IPv4", "dns", lambda dns: float(dns.unique_as_v4)),
+    "unique_as_v6": ("Unique AS IPv6", "dns", lambda dns: float(dns.unique_as_v6)),
+    "top5_as": ("Top 5 AS (Share)", "dns", lambda dns: dns.top_as_share(5)),
+    "tls": ("TLS-capable", "tls", lambda tls: tls.tls_share),
+    "hsts": ("HSTS-enabled HTTPS", "tls", lambda tls: tls.hsts_share_of_tls),
+    "http2": ("HTTP2", "http2", lambda http2: http2.adoption_share),
+}
+
+#: The Table 5 metric names, in row order.
+TABLE5_METRICS: tuple[str, ...] = tuple(TABLE5_ROWS)
+
+
 @dataclass
 class MeasurementReport:
     """All Section-8 measurements of one target set."""
@@ -67,29 +89,9 @@ class MeasurementReport:
     http2: Http2Characteristics
 
     def metric(self, name: str) -> float:
-        """Look up a metric by its Table 5 row name."""
-        mapping = {
-            "nxdomain": self.dns.nxdomain_share,
-            "ipv6": self.dns.ipv6_share,
-            "caa": self.dns.caa_share,
-            "cname": self.dns.cname_share,
-            "cdn": self.dns.cdn_share,
-            "unique_as_v4": float(self.dns.unique_as_v4),
-            "unique_as_v6": float(self.dns.unique_as_v6),
-            "top5_as": self.dns.top_as_share(5),
-            "tls": self.tls.tls_share,
-            "hsts": self.tls.hsts_share_of_tls,
-            "http2": self.http2.adoption_share,
-        }
-        if name not in mapping:
-            raise KeyError(f"unknown metric {name!r}")
-        return mapping[name]
-
-    @classmethod
-    def metric_names(cls) -> tuple[str, ...]:
-        """All metric row names available on a report."""
-        return ("nxdomain", "ipv6", "caa", "cname", "cdn", "unique_as_v4",
-                "unique_as_v6", "top5_as", "tls", "hsts", "http2")
+        """Look up a metric by its Table 5 name (a key of :data:`TABLE5_ROWS`)."""
+        _, part, value = TABLE5_ROWS[name]
+        return value(getattr(self, part))
 
 
 class MeasurementHarness:

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.population.internet import SyntheticInternet
+from repro.stats.summary import share
 from repro.web.http2 import Http2Prober
 
 
@@ -20,7 +21,7 @@ class Http2Characteristics:
     @property
     def adoption_share(self) -> float:
         """Percentage of targets serving their landing page over HTTP/2."""
-        return 100.0 * self.http2_enabled / self.total if self.total else 0.0
+        return share(self.http2_enabled, self.total)
 
 
 class Http2Measurement:

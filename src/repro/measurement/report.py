@@ -1,4 +1,8 @@
-"""Reporting helpers: time series (Figures 6 and 8) and Table 5 assembly."""
+"""Reporting helpers: time series (Figures 6 and 8) and Table 5 assembly.
+
+Both read a metric through the one Table 5 mapping,
+:data:`repro.measurement.harness.TABLE5_ROWS`.
+"""
 
 from __future__ import annotations
 
@@ -6,33 +10,14 @@ import datetime as dt
 from typing import Mapping, Optional, Sequence
 
 from repro.core.bias import ComparisonTable
-from repro.measurement.harness import MeasurementHarness, TargetSet
+from repro.measurement.harness import (
+    TABLE5_METRICS,
+    TABLE5_ROWS,
+    MeasurementHarness,
+    TargetSet,
+)
 from repro.providers.base import ListArchive
 from repro.providers.simulation import SimulationRun
-
-#: Metrics that only need the (cheaper) DNS measurement.
-_DNS_METRICS = ("nxdomain", "ipv6", "caa", "cname", "cdn", "unique_as_v4",
-                "unique_as_v6", "top5_as")
-
-
-def _metric_from_reports(harness: MeasurementHarness, target: TargetSet,
-                         metric: str) -> float:
-    if metric in _DNS_METRICS:
-        dns = harness.measure_dns(target)
-        dns_values = {
-            "nxdomain": dns.nxdomain_share, "ipv6": dns.ipv6_share,
-            "caa": dns.caa_share, "cname": dns.cname_share, "cdn": dns.cdn_share,
-            "unique_as_v4": float(dns.unique_as_v4),
-            "unique_as_v6": float(dns.unique_as_v6),
-            "top5_as": dns.top_as_share(5),
-        }
-        return dns_values[metric]
-    if metric in ("tls", "hsts"):
-        tls = harness.measure_tls(target)
-        return tls.tls_share if metric == "tls" else tls.hsts_share_of_tls
-    if metric == "http2":
-        return harness.measure_http2(target).adoption_share
-    raise KeyError(f"unknown metric {metric!r}")
 
 
 def daily_series(harness: MeasurementHarness,
@@ -50,6 +35,8 @@ def daily_series(harness: MeasurementHarness,
     """
     if sample_every <= 0:
         raise ValueError("sample_every must be positive")
+    _, part, value = TABLE5_ROWS[metric]
+    measure = getattr(harness, f"measure_{part}")
     series: dict[str, dict[dt.date, float]] = {}
     for name, archive in archives.items():
         label = f"{name}-{top_n}" if top_n else name
@@ -58,28 +45,12 @@ def daily_series(harness: MeasurementHarness,
             if index % sample_every:
                 continue
             target = TargetSet.from_snapshot(snapshot, top_n=top_n, name=label)
-            series[label][snapshot.date] = _metric_from_reports(harness, target, metric)
+            series[label][snapshot.date] = value(measure(target))
     if population is not None:
         dates = sorted({date for per in series.values() for date in per})
-        value = _metric_from_reports(harness, population, metric)
-        series[population.name] = {date: value for date in dates}
+        population_value = value(measure(population))
+        series[population.name] = {date: population_value for date in dates}
     return series
-
-
-#: Table 5 metric rows and their human-readable names.
-TABLE5_METRICS: tuple[tuple[str, str], ...] = (
-    ("nxdomain", "NXDOMAIN"),
-    ("ipv6", "IPv6-enabled"),
-    ("caa", "CAA-enabled"),
-    ("cname", "CNAMEs"),
-    ("cdn", "CDNs (via CNAME)"),
-    ("unique_as_v4", "Unique AS IPv4"),
-    ("unique_as_v6", "Unique AS IPv6"),
-    ("top5_as", "Top 5 AS (Share)"),
-    ("tls", "TLS-capable"),
-    ("hsts", "HSTS-enabled HTTPS"),
-    ("http2", "HTTP2"),
-)
 
 
 def build_comparison_table(run: SimulationRun,
@@ -97,7 +68,7 @@ def build_comparison_table(run: SimulationRun,
     """
     harness = harness or MeasurementHarness(run.internet)
     top_k = top_k or run.config.top_k
-    metrics = list(metrics) if metrics is not None else [m for m, _ in TABLE5_METRICS]
+    metrics = list(metrics) if metrics is not None else list(TABLE5_METRICS)
     population = TargetSet.from_zonefile(run.zonefile, sample=population_sample)
 
     # Collect per-day samples per target.
@@ -113,10 +84,9 @@ def build_comparison_table(run: SimulationRun,
                     samples[metric].setdefault(scope, []).append(report.metric(metric))
     population_report = harness.measure(population)
 
-    label_by_metric = dict(TABLE5_METRICS)
     table = ComparisonTable(base_target=population.name)
     for metric in metrics:
         values: dict[str, list[float]] = dict(samples[metric])
         values[population.name] = [population_report.metric(metric)]
-        table.add_characteristic(label_by_metric.get(metric, metric), values)
+        table.add_characteristic(TABLE5_ROWS[metric][0], values)
     return table

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.population.internet import SyntheticInternet
+from repro.stats.summary import share
 from repro.web.tls import TlsProber
 
 
@@ -21,7 +22,7 @@ class TlsCharacteristics:
     @property
     def tls_share(self) -> float:
         """Percentage of targets with a successful TLS handshake."""
-        return 100.0 * self.tls_capable / self.total if self.total else 0.0
+        return share(self.tls_capable, self.total)
 
     @property
     def hsts_share_of_tls(self) -> float:
@@ -30,7 +31,7 @@ class TlsCharacteristics:
         Matches Table 5, which reports HSTS "out of the TLS-enabled
         domains".
         """
-        return 100.0 * self.hsts_enabled / self.tls_capable if self.tls_capable else 0.0
+        return share(self.hsts_enabled, self.tls_capable)
 
 
 class TlsMeasurement:

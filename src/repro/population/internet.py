@@ -26,7 +26,7 @@ DNS-query-level ranking à la Umbrella), an authoritative
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -648,7 +648,3 @@ class SyntheticInternet:
     def com_net_org_domains(self) -> list[Domain]:
         """The paper's 'general population': all com/net/org base domains."""
         return [d for d in self.domains if d.is_com_net_org]
-
-    def seed_domain_names(self) -> Sequence[str]:
-        """Names of the well-known seeded domains (Table 4 examples)."""
-        return [name for name, _ in _SEED_DOMAINS[: min(len(_SEED_DOMAINS), len(self.domains))]]

@@ -30,6 +30,10 @@ from repro.population.internet import SyntheticInternet
 #: resolver (cache hits and anycast spread make it less than 1).
 QUERY_CAPTURE_RATE = 0.55
 
+#: Weight of page views against unique visitors in the Alexa-style day
+#: score, ``unique visitors + PAGE_VIEW_WEIGHT * page views``.
+PAGE_VIEW_WEIGHT = 0.2
+
 
 @dataclass(frozen=True)
 class InjectedQueries:
@@ -62,7 +66,7 @@ class WebTraffic:
 
     def score(self) -> np.ndarray:
         """Alexa-style day score: combines page views and unique visitors."""
-        return self.unique_visitors.astype(float) + 0.2 * self.visits.astype(float)
+        return self.unique_visitors.astype(float) + PAGE_VIEW_WEIGHT * self.visits.astype(float)
 
 
 @dataclass
@@ -73,17 +77,6 @@ class DnsTraffic:
     unique_clients: np.ndarray
     queries: np.ndarray
     injected: Mapping[str, tuple[int, int]] = field(default_factory=dict)
-
-    def score(self) -> np.ndarray:
-        """Umbrella-style day score: dominated by unique client count."""
-        return self.unique_clients.astype(float) + 0.05 * np.sqrt(self.queries.astype(float))
-
-    def injected_score(self, fqdn: str) -> float:
-        """Score of an injected name (0.0 when it received no traffic)."""
-        if fqdn not in self.injected:
-            return 0.0
-        unique, queries = self.injected[fqdn]
-        return float(unique) + 0.05 * float(np.sqrt(queries))
 
 
 @dataclass

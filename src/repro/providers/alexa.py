@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.population.config import SimulationConfig
 from repro.population.internet import SyntheticInternet
-from repro.population.traffic import TrafficSimulator
+from repro.population.traffic import PAGE_VIEW_WEIGHT, TrafficSimulator
 from repro.providers.base import ListProvider, ListSnapshot
 
 
@@ -79,7 +79,7 @@ class AlexaProvider(ListProvider):
                 rng = np.random.default_rng([self.config.seed, day, 11])
                 visits = rng.binomial(web.visits, self.post_change_panel_factor)
                 unique = rng.binomial(web.unique_visitors, self.post_change_panel_factor)
-                score = unique.astype(float) + 0.2 * visits.astype(float)
+                score = unique.astype(float) + PAGE_VIEW_WEIGHT * visits.astype(float)
             else:
                 score = web.score()
             self._day_scores[key] = score

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.population.traffic import InjectedQueries
+from repro.population.traffic import PAGE_VIEW_WEIGHT, InjectedQueries
 from repro.providers.alexa import AlexaProvider
 from repro.providers.majestic import MajesticProvider
 from repro.providers.umbrella import UmbrellaProvider
@@ -140,9 +140,9 @@ class AlexaPanelInjectionExperiment:
         self.page_views_per_installation = page_views_per_installation
 
     def _injected_score(self, installations: int) -> float:
-        # Mirrors WebTraffic.score(): unique visitors + 0.2 * page views.
+        # The WebTraffic.score() formula for one day of panel telemetry.
         views = installations * self.page_views_per_installation
-        return float(installations) + 0.2 * views
+        return float(installations) + PAGE_VIEW_WEIGHT * views
 
     def rank_for_installations(self, day: int, installations: int) -> Optional[int]:
         """Rank a test site reaches with ``installations`` daily visitors."""
@@ -166,7 +166,7 @@ class AlexaPanelInjectionExperiment:
         if target_rank > len(order):
             return 1
         needed_score = float(order[target_rank - 1])
-        per_installation = 1.0 + 0.2 * self.page_views_per_installation
+        per_installation = 1.0 + PAGE_VIEW_WEIGHT * self.page_views_per_installation
         return int(np.ceil(needed_score / per_installation)) + 1
 
     def sweep(self, day: int, installation_counts: Sequence[int]) -> Mapping[int, Optional[int]]:

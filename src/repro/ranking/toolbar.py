@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 from urllib.parse import urlsplit
 
 #: Hosts whose URLs the toolbar anonymises to the host name
@@ -125,24 +125,3 @@ class AlexaToolbar:
         """Hosts Alexa learns this installation visited."""
         return [record.host for record in self._telemetry]
 
-    def exposed_full_urls(self) -> list[str]:
-        """URLs transmitted *with* path and GET parameters (privacy exposure)."""
-        return [record.url for record in self._telemetry if not record.anonymised]
-
-
-def simulate_panel_day(toolbars: Iterable[AlexaToolbar], visits: Iterable[tuple[int, str]]
-                       ) -> dict[str, int]:
-    """Replay ``(toolbar index, url)`` visits and count unique visitors per host.
-
-    A miniature version of the panel aggregation that feeds the Alexa
-    ranking: the per-host count of distinct installations that visited it.
-    """
-    toolbars = list(toolbars)
-    seen: dict[str, set[str]] = {}
-    for index, url in visits:
-        toolbar = toolbars[index]
-        record = toolbar.visit(url)
-        if record is None:
-            continue
-        seen.setdefault(record.host, set()).add(record.aid)
-    return {host: len(aids) for host, aids in seen.items()}

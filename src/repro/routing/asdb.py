@@ -7,9 +7,8 @@ for every A record of every list (Section 8.1.2, Figure 7d).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.routing.prefix_trie import PrefixTrie
 
@@ -30,7 +29,11 @@ class AsInfo:
 
 
 class AsDatabase:
-    """Prefix-to-origin-AS mapping with aggregate share statistics."""
+    """Prefix-to-origin-AS mapping.
+
+    The per-list AS statistics of Figure 7d and Table 5 are counted by
+    :class:`~repro.measurement.dns_measure.DnsCharacteristics`.
+    """
 
     def __init__(self) -> None:
         self._trie: PrefixTrie[AsInfo] = PrefixTrie()
@@ -77,25 +80,3 @@ class AsDatabase:
         enablement, so the measurement harness uses this check.
         """
         return self.origin(address) is not None
-
-    # -- aggregate statistics used by Figure 7d / Table 5 ----------------
-    def origin_counts(self, addresses: Iterable[str]) -> Counter[AsInfo]:
-        """Count how many addresses map to each origin AS."""
-        counts: Counter[AsInfo] = Counter()
-        for address in addresses:
-            info = self.origin(address)
-            if info is not None:
-                counts[info] += 1
-        return counts
-
-    def unique_as_count(self, addresses: Iterable[str]) -> int:
-        """Number of distinct ASes covering ``addresses``."""
-        return len(self.origin_counts(addresses))
-
-    def top_as_share(self, addresses: Sequence[str], top_n: int = 5) -> Mapping[AsInfo, float]:
-        """Share (fraction of mapped addresses) of the ``top_n`` ASes."""
-        counts = self.origin_counts(addresses)
-        total = sum(counts.values())
-        if total == 0:
-            return {}
-        return {info: count / total for info, count in counts.most_common(top_n)}

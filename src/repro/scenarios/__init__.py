@@ -36,7 +36,6 @@ from repro.scenarios.profiles import (
     InjectionSpec,
     SimulationProfile,
     get_profile,
-    iter_profiles,
     profile_names,
 )
 from repro.scenarios.runner import (
@@ -59,7 +58,6 @@ __all__ = [
     "diff_fingerprints",
     "get_profile",
     "golden_path",
-    "iter_profiles",
     "load_golden",
     "profile_names",
     "refresh_goldens",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.population.config import SimulationConfig
 
@@ -201,11 +201,6 @@ PROFILES: Mapping[str, SimulationProfile] = MappingProxyType(_build_presets())
 def profile_names() -> tuple[str, ...]:
     """Names of the built-in scenario profiles, in registry order."""
     return tuple(PROFILES)
-
-
-def iter_profiles() -> Iterator[SimulationProfile]:
-    """Iterate over the built-in scenario profiles."""
-    return iter(PROFILES.values())
 
 
 def get_profile(name: str) -> SimulationProfile:

@@ -456,7 +456,11 @@ class QueryService:
             return self._index
 
     def clear_cache(self) -> None:
-        """Drop memoised responses (benchmarks' cold-path switch)."""
+        """Drop memoised responses, so the next request is computed afresh.
+
+        A test hook: the wire fuzz suite uses it to route a request past
+        the LRU into a monkeypatched payload builder.
+        """
         with self._lock:
             self._result_cache.clear()
 

@@ -2,9 +2,11 @@
 
 Implements the statistical tools the paper relies on: Kendall's tau rank
 correlation (Section 6.3), the two-sample Kolmogorov-Smirnov distance
-(Section 6.2), empirical CDFs, Zipf/power-law sampling (the popularity
-model motivated in Section 6.1), and the significance-deviation marking
-rule used in Table 5.
+(Section 6.2), empirical CDFs (Figures 2c and 4), Zipf weights and
+sampling (the synthetic population draws its power-law popularity in
+:mod:`repro.population.internet`, not through these), percentage shares
+(every Table 5 percentage) and the significance-deviation marking rule used
+in Table 5.
 """
 
 from repro.stats.distributions import (

@@ -6,14 +6,15 @@ WebPagetest ``cdn.h`` ruleset).  This module ships an equivalent ruleset
 covering the CDNs the paper's Figure 7b/c names (Akamai, Google, Fastly,
 Incapsula, Amazon/CloudFront, WordPress, Facebook, Instart, Zenedge,
 Highwinds, ChinaNetCenter) plus further common providers, and a detector
-that classifies a CNAME chain.
+that classifies a CNAME chain.  The Figure 7 shares built from the
+detector's verdicts live in
+:class:`~repro.measurement.dns_measure.DnsCharacteristics`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -95,29 +96,3 @@ class CdnDetector:
             if provider is not None:
                 return provider
         return None
-
-    def share_by_provider(self, chains: Iterable[Sequence[str]]) -> Mapping[str, float]:
-        """Fraction of chains attributed to each provider (detected only).
-
-        Used for Figure 7b/c: the share of the top CDNs among CDN-hosted
-        domains.
-        """
-        counts: Counter[str] = Counter()
-        for chain in chains:
-            provider = self.detect_chain(chain)
-            if provider is not None:
-                counts[provider] += 1
-        total = sum(counts.values())
-        if total == 0:
-            return {}
-        return {provider: count / total for provider, count in counts.most_common()}
-
-    def detection_ratio(self, chains: Iterable[Sequence[str]]) -> float:
-        """Fraction of chains where any CDN was detected (Figure 7a)."""
-        total = 0
-        detected = 0
-        for chain in chains:
-            total += 1
-            if self.detect_chain(chain) is not None:
-                detected += 1
-        return detected / total if total else 0.0

@@ -71,10 +71,3 @@ class Http2Prober:
     def probe_all(self, domains: Iterable[str]) -> list[Http2ProbeResult]:
         """Probe every domain in ``domains``."""
         return [self.probe(domain) for domain in domains]
-
-    def adoption_share(self, domains: Iterable[str]) -> float:
-        """Percentage of domains with effective HTTP/2 support (Figure 8)."""
-        results = self.probe_all(domains)
-        if not results:
-            return 0.0
-        return 100.0 * sum(r.http2_enabled for r in results) / len(results)

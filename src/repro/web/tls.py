@@ -59,21 +59,3 @@ class TlsProber:
     def probe_all(self, domains: Iterable[str]) -> list[TlsProbeResult]:
         """Probe every domain in ``domains``."""
         return [self.probe(domain) for domain in domains]
-
-    def tls_share(self, domains: Iterable[str]) -> float:
-        """Percentage of domains with a successful TLS handshake."""
-        results = self.probe_all(domains)
-        if not results:
-            return 0.0
-        return 100.0 * sum(r.tls_capable for r in results) / len(results)
-
-    def hsts_share_of_tls(self, domains: Iterable[str]) -> float:
-        """Percentage of TLS-capable domains serving valid HSTS.
-
-        Matches Table 5: HSTS share is computed "out of the TLS-enabled
-        domains".
-        """
-        results = [r for r in self.probe_all(domains) if r.tls_capable]
-        if not results:
-            return 0.0
-        return 100.0 * sum(r.hsts_enabled for r in results) / len(results)

@@ -7,13 +7,18 @@ test, so the suite stays fast despite exercising the full pipeline.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.domain.psl import default_list
+from repro.measurement.dns_measure import DnsMeasurement
 from repro.measurement.harness import MeasurementHarness
 from repro.population.config import SimulationConfig
 from repro.population.internet import SyntheticInternet
 from repro.population.traffic import TrafficSimulator
 from repro.providers.simulation import SimulationRun, run_simulation
+from repro.routing.asdb import AsDatabase
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -76,3 +81,17 @@ def traffic(small_run: SimulationRun) -> TrafficSimulator:
 def harness(small_run: SimulationRun) -> MeasurementHarness:
     """A measurement harness bound to the small run's Internet."""
     return MeasurementHarness(small_run.internet)
+
+
+@pytest.fixture()
+def measure_zone():
+    """Run the Section-8.1 DNS measurement over a hand-built zone.
+
+    Returns ``measure(zone, names, asdb=None, cdn_detector=None)``, the
+    :class:`~repro.measurement.dns_measure.DnsCharacteristics` that
+    Figure 7 and Table 5 read, for small hand-checkable inputs.
+    """
+    def measure(zone, names, asdb=None, cdn_detector=None):
+        internet = SimpleNamespace(zone=zone, asdb=asdb or AsDatabase(), psl=default_list())
+        return DnsMeasurement(internet, cdn_detector=cdn_detector).measure(names)
+    return measure

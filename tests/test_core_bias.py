@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bias import ComparisonTable, compare_single_day
+from repro.core.bias import ComparisonTable
 from repro.stats.summary import DeviationFlag, MeanStd
 
 
@@ -76,8 +76,8 @@ class TestComparisonTable:
 
 class TestSingleDay:
     def test_compare_single_day(self):
-        row = compare_single_day("TLS-capable",
-                                 {"alexa-1M": 74.65, "umbrella-1M": 43.05, "base": 36.69},
-                                 base_target="base")
+        # A single-day row is a one-value sample per target.
+        row = ComparisonTable(base_target="base").add_characteristic(
+            "TLS-capable", {"alexa-1M": [74.65], "umbrella-1M": [43.05], "base": [36.69]})
         assert row.flag("alexa-1M") is DeviationFlag.EXCEEDS
         assert row.flag("umbrella-1M") is DeviationFlag.NOT_SIGNIFICANT

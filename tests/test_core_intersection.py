@@ -10,7 +10,6 @@ from repro.core.intersection import (
     intersection_matrix,
     intersection_over_time,
     jaccard_index,
-    pairwise_intersection,
 )
 from repro.providers.base import ListArchive, ListSnapshot
 
@@ -24,12 +23,13 @@ class TestPairwise:
     def test_counts_common_base_domains(self):
         a = snap("alexa", ["a.com", "b.com", "c.com"])
         b = snap("umbrella", ["www.a.com", "b.com", "d.com"])
-        assert pairwise_intersection(a, b) == 2
+        assert intersection_matrix({"alexa": a, "umbrella": b}) == {("alexa", "umbrella"): 2}
 
     def test_without_normalisation(self):
         a = snap("alexa", ["a.com"])
         b = snap("umbrella", ["www.a.com"])
-        assert pairwise_intersection(a, b, normalise=False) == 0
+        matrix = intersection_matrix({"alexa": a, "umbrella": b}, normalise=False)
+        assert matrix == {("alexa", "umbrella"): 0}
 
     def test_jaccard(self):
         assert jaccard_index(["a", "b"], ["b", "c"]) == pytest.approx(1 / 3)

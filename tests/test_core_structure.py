@@ -72,8 +72,8 @@ class TestStructureSummary:
         assert summary.max_depth == 1
         assert summary.aliases == 1  # a.com / a.org share the SLD "a"
         assert summary.base_domain_share == pytest.approx(0.8)
-        assert summary.depth_share(1) == pytest.approx(0.2)
-        assert summary.depth_share(7) == 0.0
+        assert summary.depth_shares[1] == pytest.approx(0.2)
+        assert 7 not in summary.depth_shares
 
     def test_umbrella_style_snapshot_has_lower_base_share(self, small_run):
         alexa = structure_summary(small_run.alexa[-1])

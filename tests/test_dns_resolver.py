@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dns.errors import ResolutionLoopError
-from repro.dns.records import RecordType, Rcode
+from repro.dns.records import RecordType
 from repro.dns.resolver import CachingResolver
 from repro.dns.zone import ZoneDatabase
 
@@ -29,7 +29,6 @@ class TestResolve:
         assert resolution.resolved
         assert resolution.addresses == ["192.0.2.1"]
         assert resolution.cname_chain == []
-        assert resolution.final_name == "direct.example"
 
     def test_aaaa(self, zone):
         resolver = CachingResolver(zone)
@@ -41,7 +40,6 @@ class TestResolve:
         resolution = resolver.resolve("www.site.example", RecordType.A)
         assert resolution.addresses == ["198.51.100.7"]
         assert resolution.cname_chain == ["edge.cdn.example", "pop.cdn.example"]
-        assert resolution.final_name == "pop.cdn.example"
 
     def test_nxdomain(self, zone):
         resolver = CachingResolver(zone)
@@ -94,26 +92,3 @@ class TestCache:
         with pytest.raises(ValueError):
             resolver.advance_clock(-1)
 
-
-class TestQueryLog:
-    def test_logging_disabled_by_default(self, zone):
-        resolver = CachingResolver(zone)
-        resolver.query("direct.example", RecordType.A)
-        assert resolver.query_log == []
-
-    def test_log_records_client_and_cache_state(self, zone):
-        resolver = CachingResolver(zone, log_queries=True)
-        resolver.query("direct.example", RecordType.A, client_id="probe-1")
-        resolver.query("direct.example", RecordType.A, client_id="probe-2")
-        log = resolver.query_log
-        assert len(log) == 2
-        assert log[0].client_id == "probe-1"
-        assert log[0].from_cache is False
-        assert log[1].from_cache is True
-        assert log[0].rcode is Rcode.NOERROR
-
-    def test_clear_log(self, zone):
-        resolver = CachingResolver(zone, log_queries=True)
-        resolver.query("direct.example", RecordType.A)
-        resolver.clear_query_log()
-        assert resolver.query_log == []

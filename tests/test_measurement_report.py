@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.bias import ComparisonTable
-from repro.measurement.harness import TargetSet
+from repro.measurement.harness import TABLE5_ROWS, TargetSet
 from repro.measurement.report import TABLE5_METRICS, build_comparison_table, daily_series
 from repro.stats.summary import DeviationFlag
 
@@ -36,6 +36,19 @@ class TestDailySeries:
         with pytest.raises(KeyError):
             daily_series(harness, {"alexa": small_run.alexa.top(10)}, metric="bogus")
 
+
+
+class TestOneTable5Mapping:
+    """Figures 6/8 and Table 5 read a metric through the same mapping."""
+
+    @pytest.mark.parametrize("metric", TABLE5_METRICS)
+    def test_daily_series_matches_table5_value(self, harness, small_run, metric):
+        archive = small_run.alexa.top(60)
+        snapshot = archive.snapshots()[0]
+        series = daily_series(harness, {"alexa": archive}, metric=metric,
+                              sample_every=len(archive.snapshots()))
+        report = harness.measure(TargetSet.from_snapshot(snapshot, name="alexa"))
+        assert series == {"alexa": {snapshot.date: report.metric(metric)}}
 
 class TestComparisonTable:
     @pytest.fixture(scope="class")
@@ -72,5 +85,5 @@ class TestComparisonTable:
         assert sum(distorting) / len(distorting) > 0.6
 
     def test_table5_metric_labels_unique(self):
-        labels = [label for _, label in TABLE5_METRICS]
+        labels = [TABLE5_ROWS[metric][0] for metric in TABLE5_METRICS]
         assert len(labels) == len(set(labels))

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.ranking.toolbar import (
-    ANONYMISED_HOSTS,
-    DEMOGRAPHIC_FIELDS,
-    AlexaToolbar,
-    simulate_panel_day,
-)
+from repro.ranking.toolbar import ANONYMISED_HOSTS, DEMOGRAPHIC_FIELDS, AlexaToolbar
 
 
 class TestToolbar:
@@ -36,7 +31,6 @@ class TestToolbar:
         assert record is not None
         assert not record.anonymised
         assert "token=secret" in record.url
-        assert record.url in toolbar.exposed_full_urls()
 
     def test_search_engines_anonymised_to_host(self):
         toolbar = AlexaToolbar()
@@ -67,16 +61,3 @@ class TestToolbar:
         toolbar.visit("https://b.example/2")
         assert toolbar.visited_hosts() == ["a.example", "b.example"]
 
-
-class TestPanelAggregation:
-    def test_unique_visitor_counting(self):
-        toolbars = [AlexaToolbar(demographics={"age": str(i)}) for i in range(3)]
-        visits = [
-            (0, "https://popular.example/a"),
-            (0, "https://popular.example/b"),
-            (1, "https://popular.example/"),
-            (2, "https://niche.example/"),
-        ]
-        counts = simulate_panel_day(toolbars, visits)
-        assert counts["popular.example"] == 2  # two distinct installations
-        assert counts["niche.example"] == 1

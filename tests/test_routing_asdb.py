@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dns.zone import ZoneDatabase
 from repro.routing.asdb import AsDatabase, AsInfo
 
 
@@ -63,20 +64,38 @@ class TestAnnouncements:
 
 
 class TestAggregates:
-    def test_origin_counts(self, asdb):
-        counts = asdb.origin_counts(["23.0.0.1", "23.0.0.2", "104.16.0.1", "203.0.113.1"])
+    """The Figure 7d / Table 5 AS statistics over this database's routes.
+
+    They are counted by the DNS measurement (DnsCharacteristics), their
+    one implementation: one name per address, mapped to its origin AS.
+    """
+
+    @staticmethod
+    def _measure(measure_zone, asdb, addresses):
+        zone = ZoneDatabase()
+        names = [f"site{index}.com" for index in range(len(addresses))]
+        for name, address in zip(names, addresses):
+            zone.add_address(name, address)
+        return measure_zone(zone, names, asdb=asdb)
+
+    def test_origin_counts(self, asdb, measure_zone):
+        counts = self._measure(measure_zone, asdb, ["23.0.0.1", "23.0.0.2", "104.16.0.1",
+                                                    "203.0.113.1"]).as_counts_v4
         by_name = {info.name: count for info, count in counts.items()}
         assert by_name == {"Akamai": 2, "Cloudflare": 1}
 
-    def test_unique_as_count(self, asdb):
-        assert asdb.unique_as_count(["23.0.0.1", "104.16.0.1", "172.217.0.1"]) == 3
+    def test_unique_as_count(self, asdb, measure_zone):
+        measured = self._measure(measure_zone, asdb, ["23.0.0.1", "104.16.0.1", "172.217.0.1"])
+        assert measured.unique_as_v4 == 3
 
-    def test_top_as_share(self, asdb):
+    def test_top_as_share(self, asdb, measure_zone):
         addresses = ["23.0.0.1"] * 6 + ["104.16.0.1"] * 3 + ["172.217.0.1"]
-        shares = asdb.top_as_share(addresses, top_n=2)
+        measured = self._measure(measure_zone, asdb, addresses)
+        shares = measured.top_as(2)
         names = [info.name for info in shares]
         assert names == ["Akamai", "Cloudflare"]
         assert shares[list(shares)[0]] == pytest.approx(0.6)
+        assert measured.top_as_share(2) == pytest.approx(90.0)
 
-    def test_top_as_share_empty(self, asdb):
-        assert asdb.top_as_share([]) == {}
+    def test_top_as_share_empty(self, asdb, measure_zone):
+        assert self._measure(measure_zone, asdb, []).top_as() == {}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dns.zone import ZoneDatabase
 from repro.web.cdn import DEFAULT_CDN_RULES, CdnDetector, CdnRule
 
 
@@ -40,25 +41,42 @@ class TestCdnDetector:
     def test_detect_chain_empty(self, detector):
         assert detector.detect_chain([]) is None
 
-    def test_share_by_provider(self, detector):
+    # The Figure 7a/7b shares of the detector's verdicts are computed by
+    # the DNS measurement (DnsCharacteristics), their one implementation.
+    @staticmethod
+    def _measure_chains(measure_zone, detector, chains):
+        zone = ZoneDatabase()
+        names = []
+        for index, chain in enumerate(chains):
+            name = previous = f"site{index}.com"
+            names.append(name)
+            for link in chain:
+                zone.add_cname(previous, link)
+                previous = link
+            zone.add_address(previous, "192.0.2.1")
+        return measure_zone(zone, names, cdn_detector=detector)
+
+    def test_share_by_provider(self, detector, measure_zone):
         chains = [
             ["x.fastly.net"],
             ["y.fastly.net"],
             ["z.cloudfront.net"],
             ["plain.example.org"],
         ]
-        shares = detector.share_by_provider(chains)
+        shares = self._measure_chains(measure_zone, detector, chains).top_cdns(
+            len(detector.providers))
         assert shares["Fastly"] == pytest.approx(2 / 3)
         assert shares["Amazon"] == pytest.approx(1 / 3)
         assert "plain.example.org" not in shares
 
-    def test_share_empty(self, detector):
-        assert detector.share_by_provider([]) == {}
+    def test_share_empty(self, detector, measure_zone):
+        assert self._measure_chains(measure_zone, detector, []).top_cdns() == {}
 
-    def test_detection_ratio(self, detector):
+    def test_detection_ratio(self, detector, measure_zone):
         chains = [["a.fastly.net"], ["nothing.example"], []]
-        assert detector.detection_ratio(chains) == pytest.approx(1 / 3)
-        assert detector.detection_ratio([]) == 0.0
+        measured = self._measure_chains(measure_zone, detector, chains)
+        assert measured.cdn_share == pytest.approx(100 / 3)
+        assert self._measure_chains(measure_zone, detector, []).cdn_share == 0.0
 
     def test_custom_rules(self):
         detector = CdnDetector([CdnRule("MyCDN", ("cdn.my",))])

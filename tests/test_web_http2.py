@@ -1,7 +1,10 @@
 """Tests for the HTTP/2 prober."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.measurement.http2_measure import Http2Measurement
 from repro.web.http2 import Http2Prober
 from repro.web.server import HostRegistry, WebHost
 
@@ -70,13 +73,23 @@ class TestProbe:
 
 
 class TestAggregates:
-    def test_adoption_share(self, prober):
-        share = prober.adoption_share(["h2.example", "h1.example", "redirector.example",
-                                       "missing.example"])
-        assert share == pytest.approx(50.0)
+    """The Figure 8 / Table 5 HTTP/2 share of the prober's verdicts.
 
-    def test_empty(self, prober):
-        assert prober.adoption_share([]) == 0.0
+    It is computed by the HTTP/2 measurement (Http2Characteristics), its
+    one implementation.
+    """
+
+    @staticmethod
+    def _measure(registry, names):
+        return Http2Measurement(SimpleNamespace(hosts=registry)).measure(names)
+
+    def test_adoption_share(self, registry):
+        measured = self._measure(registry, ["h2.example", "h1.example", "redirector.example",
+                                            "missing.example"])
+        assert measured.adoption_share == pytest.approx(50.0)
+
+    def test_empty(self, registry):
+        assert self._measure(registry, []).adoption_share == 0.0
 
     def test_probe_all(self, prober):
         assert len(prober.probe_all(["h2.example", "h1.example"])) == 2

@@ -1,7 +1,10 @@
 """Tests for the TLS/HSTS prober."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.measurement.tls_measure import TlsMeasurement
 from repro.web.hsts import HstsPolicy
 from repro.web.server import HostRegistry, WebHost
 from repro.web.tls import TlsProber
@@ -57,20 +60,31 @@ class TestProbe:
 
 
 class TestAggregates:
+    """Table 5's TLS and HSTS shares of the prober's verdicts.
+
+    They are computed by the TLS measurement (TlsCharacteristics), their
+    one implementation.
+    """
+
+    @staticmethod
+    def _measure(registry, names):
+        return TlsMeasurement(SimpleNamespace(hosts=registry)).measure(names)
+
     def test_probe_all(self, prober):
         results = prober.probe_all(["secure.example", "plain.example"])
         assert len(results) == 2
 
-    def test_tls_share(self, prober):
-        share = prober.tls_share(["secure.example", "tls-only.example", "plain.example",
-                                  "unknown.example"])
-        assert share == pytest.approx(50.0)
+    def test_tls_share(self, registry):
+        measured = self._measure(registry, ["secure.example", "tls-only.example",
+                                            "plain.example", "unknown.example"])
+        assert measured.tls_share == pytest.approx(50.0)
 
-    def test_hsts_share_of_tls(self, prober):
-        share = prober.hsts_share_of_tls(["secure.example", "tls-only.example",
-                                          "plain.example"])
-        assert share == pytest.approx(50.0)
+    def test_hsts_share_of_tls(self, registry):
+        measured = self._measure(registry, ["secure.example", "tls-only.example",
+                                            "plain.example"])
+        assert measured.hsts_share_of_tls == pytest.approx(50.0)
 
-    def test_empty_inputs(self, prober):
-        assert prober.tls_share([]) == 0.0
-        assert prober.hsts_share_of_tls([]) == 0.0
+    def test_empty_inputs(self, registry):
+        measured = self._measure(registry, [])
+        assert measured.tls_share == 0.0
+        assert measured.hsts_share_of_tls == 0.0
