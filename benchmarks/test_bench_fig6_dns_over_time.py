@@ -18,11 +18,8 @@ def test_fig6_dns_characteristics_over_time(benchmark, bench_run, bench_harness,
     population = TargetSet.from_zonefile(bench_run.zonefile)
 
     def compute():
-        series = {}
-        for metric in ("nxdomain", "ipv6", "caa"):
-            series[metric] = daily_series(bench_harness, bench_run.archives, metric=metric,
-                                          population=population, sample_every=7)
-        return series
+        return daily_series(bench_harness, bench_run.archives, ("nxdomain", "ipv6", "caa"),
+                            population=population, sample_every=7)
 
     series = benchmark.pedantic(compute, rounds=1, iterations=1)
 

@@ -20,11 +20,11 @@ def test_fig8_http2_adoption_over_time(benchmark, bench_run, bench_harness, benc
     population = TargetSet.from_zonefile(bench_run.zonefile)
 
     def compute():
-        full = daily_series(bench_harness, bench_run.archives, metric="http2",
+        full = daily_series(bench_harness, bench_run.archives, ("http2",),
                             population=population, sample_every=4)
-        heads = daily_series(bench_harness, bench_run.archives, metric="http2",
+        heads = daily_series(bench_harness, bench_run.archives, ("http2",),
                              top_n=top_k, sample_every=4)
-        return {**full, **heads}
+        return {**full["http2"], **heads["http2"]}
 
     series = benchmark.pedantic(compute, rounds=1, iterations=1)
 

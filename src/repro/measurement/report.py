@@ -22,34 +22,39 @@ from repro.providers.simulation import SimulationRun
 
 def daily_series(harness: MeasurementHarness,
                  archives: Mapping[str, ListArchive],
-                 metric: str,
+                 metrics: Sequence[str],
                  top_n: Optional[int] = None,
                  population: Optional[TargetSet] = None,
-                 sample_every: int = 1) -> dict[str, dict[dt.date, float]]:
-    """Measure ``metric`` for every archive day (Figures 6 and 8).
+                 sample_every: int = 1) -> dict[str, dict[str, dict[dt.date, float]]]:
+    """Measure ``metrics`` for every archive day (Figures 6 and 8).
 
-    Returns ``{target name: {date: value}}``; with ``top_n`` the Top-n
-    head of each snapshot is measured instead of the full list.  The
-    general population, when given, is measured once per ``sample_every``
-    dates (the paper probes the com/net/org zone weekly).
+    Returns ``{metric: {target name: {date: value}}}``, measuring each
+    target once per Table 5 part (DNS, TLS or HTTP/2) the metrics read.
+    With ``top_n`` the Top-n head of each snapshot is measured instead
+    of the full list.  The general population, when given, is measured
+    once and reported for every sampled date (the paper probes the
+    com/net/org zone weekly).
     """
     if sample_every <= 0:
         raise ValueError("sample_every must be positive")
-    _, part, value = TABLE5_ROWS[metric]
-    measure = getattr(harness, f"measure_{part}")
-    series: dict[str, dict[dt.date, float]] = {}
+    rows = {metric: TABLE5_ROWS[metric] for metric in metrics}
+    measures = {part: getattr(harness, f"measure_{part}") for _, part, _ in rows.values()}
+    series: dict[str, dict[str, dict[dt.date, float]]] = {metric: {} for metric in rows}
+
+    def record(target: TargetSet, dates: Sequence[dt.date]) -> None:
+        results = {part: measure(target) for part, measure in measures.items()}
+        for metric, (_, part, value) in rows.items():
+            series[metric].setdefault(target.name, {}).update(
+                dict.fromkeys(dates, value(results[part])))
+
+    sampled: set[dt.date] = set()
     for name, archive in archives.items():
         label = f"{name}-{top_n}" if top_n else name
-        series[label] = {}
-        for index, snapshot in enumerate(archive.snapshots()):
-            if index % sample_every:
-                continue
-            target = TargetSet.from_snapshot(snapshot, top_n=top_n, name=label)
-            series[label][snapshot.date] = value(measure(target))
+        for snapshot in archive.snapshots()[::sample_every]:
+            record(TargetSet.from_snapshot(snapshot, top_n=top_n, name=label), [snapshot.date])
+            sampled.add(snapshot.date)
     if population is not None:
-        dates = sorted({date for per in series.values() for date in per})
-        population_value = value(measure(population))
-        series[population.name] = {date: population_value for date in dates}
+        record(population, sorted(sampled))
     return series
 
 

@@ -1,5 +1,7 @@
 """Tests for the reporting helpers (time series and Table 5 assembly)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.bias import ComparisonTable
@@ -11,7 +13,7 @@ from repro.stats.summary import DeviationFlag
 class TestDailySeries:
     def test_series_structure(self, harness, small_run):
         archives = {"alexa": small_run.alexa.top(200), "majestic": small_run.majestic.top(200)}
-        series = daily_series(harness, archives, metric="ipv6", sample_every=7)
+        series = daily_series(harness, archives, ("ipv6",), sample_every=7)["ipv6"]
         assert set(series) == {"alexa", "majestic"}
         for per_date in series.values():
             assert len(per_date) == len(small_run.alexa.dates()[::7])
@@ -19,22 +21,42 @@ class TestDailySeries:
 
     def test_top_n_label(self, harness, small_run):
         archives = {"alexa": small_run.alexa}
-        series = daily_series(harness, archives, metric="nxdomain", top_n=50, sample_every=14)
-        assert "alexa-50" in series
+        series = daily_series(harness, archives, ("nxdomain",), top_n=50, sample_every=14)
+        assert "alexa-50" in series["nxdomain"]
 
     def test_population_included(self, harness, small_run):
         population = TargetSet.from_zonefile(small_run.zonefile, sample=100, seed=3)
         archives = {"majestic": small_run.majestic.top(100)}
-        series = daily_series(harness, archives, metric="http2",
-                              population=population, sample_every=14)
+        series = daily_series(harness, archives, ("http2",),
+                              population=population, sample_every=14)["http2"]
         assert "com/net/org" in series
         assert len(set(series["com/net/org"].values())) == 1
 
+    def test_several_metrics_measure_each_target_once_per_part(
+            self, harness, small_run, monkeypatch):
+        archives = {"alexa": small_run.alexa.top(50)}
+        population = TargetSet.from_zonefile(small_run.zonefile, sample=50, seed=3)
+        calls = Counter()
+        for part in ("dns", "tls", "http2"):
+            def counted(target, part=part, measure=getattr(harness, f"measure_{part}")):
+                calls[part] += 1
+                return measure(target)
+            monkeypatch.setattr(harness, f"measure_{part}", counted)
+        metrics = ("nxdomain", "ipv6", "caa", "http2")
+        together = daily_series(harness, archives, metrics,
+                                population=population, sample_every=7)
+        targets = len(small_run.alexa.dates()[::7]) + 1
+        assert calls == {"dns": targets, "http2": targets}
+        for metric in metrics:
+            assert together[metric] == daily_series(
+                harness, archives, (metric,), population=population,
+                sample_every=7)[metric]
+
     def test_invalid_args(self, harness, small_run):
         with pytest.raises(ValueError):
-            daily_series(harness, {"alexa": small_run.alexa}, metric="ipv6", sample_every=0)
+            daily_series(harness, {"alexa": small_run.alexa}, ("ipv6",), sample_every=0)
         with pytest.raises(KeyError):
-            daily_series(harness, {"alexa": small_run.alexa.top(10)}, metric="bogus")
+            daily_series(harness, {"alexa": small_run.alexa.top(10)}, ("bogus",))
 
 
 
@@ -45,8 +67,8 @@ class TestOneTable5Mapping:
     def test_daily_series_matches_table5_value(self, harness, small_run, metric):
         archive = small_run.alexa.top(60)
         snapshot = archive.snapshots()[0]
-        series = daily_series(harness, {"alexa": archive}, metric=metric,
-                              sample_every=len(archive.snapshots()))
+        series = daily_series(harness, {"alexa": archive}, (metric,),
+                              sample_every=len(archive.snapshots()))[metric]
         report = harness.measure(TargetSet.from_snapshot(snapshot, name="alexa"))
         assert series == {"alexa": {snapshot.date: report.metric(metric)}}
 

@@ -6,14 +6,17 @@ asserts exactly that — for rank history (windowed and full), longevity
 and days-in-top-k — and that the answers
 survive an :class:`~repro.service.store.ArchiveStore` round trip and any
 split of an archive's days across ``add()`` calls, down to identical
-posting arrays.
+per-domain postings; the segment tests pin the layout's own rules
+(bounded segment count, published columns never written).
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import gc
+import math
 import pathlib
+import random
 import tempfile
 import time
 from typing import Optional
@@ -148,15 +151,23 @@ class TestIndexParity:
 
 
 def _provider_state(index: DomainIndex, provider: str = "prop"):
-    state = index._providers.get(provider)
-    if state is None:
+    """The indexed days and every pool domain's ``(ordinal, rank)`` list.
+
+    Read through the public queries only, so two indexes agree however
+    their days are split into segments.
+    """
+    if provider not in index.providers():
         return None
-    return state.dates, state.observations
+    return index.dates(provider), {
+        domain: [(date.toordinal(), rank)
+                 for date, rank in index.history(domain, provider)]
+        for domain in _POOL}
 
 
 def _assert_same_index(got: DomainIndex, want: DomainIndex) -> None:
-    """The indexed days and every domain's postings array agree."""
+    """The indexed days, the domain count and every domain's postings agree."""
     assert _provider_state(got) == _provider_state(want)
+    assert got.domain_count("prop") == want.domain_count("prop")
 
 
 class TestBulkBuildParity:
@@ -172,8 +183,8 @@ class TestBulkBuildParity:
     @given(_archive_days)
     @settings(max_examples=20, deadline=None)
     def test_provider_with_days_falls_back_to_add(self, days):
-        # Once the provider has an indexed day, ``add`` takes the per-day
-        # loop for the rest of the archive.
+        # Once the provider has an indexed day, ``add`` builds the rest
+        # of the archive as a tail segment.
         archive = _build_archive(days)
         index = _index_in_batches(archive, [1])
         _assert_same_index(index, _index_in_batches(archive, range(1, len(days))))
@@ -200,6 +211,78 @@ class TestOneAddEntryPoint:
         index = _index_of(archive)
         _assert_same_index(index, _index_in_batches(archive, []))
         assert index.history("d0.com", "prop") == [(archive.dates()[0], 3)]
+
+
+def _segments(index: DomainIndex, provider: str = "prop"):
+    return index._providers[provider].segments
+
+
+def _log_bound(days: int) -> int:
+    return math.floor(math.log2(days)) + 1
+
+
+def _random_days(count: int, seed: int) -> list[list[str]]:
+    rng = random.Random(seed)
+    return [rng.sample(_POOL, rng.randint(1, 18)) for _ in range(count)]
+
+
+class TestSegments:
+    """The columnar layout's own rules: few segments, never rewritten."""
+
+    def test_forty_one_day_adds_keep_log_segments(self):
+        archive = _build_archive(_random_days(40, seed=40))
+        growing = ListArchive(provider="prop")
+        index = DomainIndex()
+        for upto, snapshot in enumerate(archive, start=1):
+            growing.add(snapshot)
+            index.add(growing)
+            assert len(_segments(index)) <= _log_bound(upto), upto
+        _assert_parity(index, archive)
+
+    def test_shrinking_batches_keep_log_segments(self):
+        # Adds of 5, 4, 3, 2 and 1 days: comparing each segment only with
+        # the one after it would keep five segments over 15 days.
+        archive = _build_archive(_random_days(15, seed=15))
+        cuts = [5, 9, 12, 14]
+        index = _index_in_batches(archive, cuts)
+        assert len(_segments(index)) <= _log_bound(15)
+        _assert_parity(index, archive)
+
+    @given(_archive_days, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_any_split_keeps_log_segments(self, days, data):
+        archive = _build_archive(days)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(days) - 1)),
+                                label="cuts"))
+        index = _index_in_batches(archive, cuts)
+        assert len(_segments(index)) <= _log_bound(len(days))
+
+    def test_later_add_never_writes_a_published_column(self):
+        archive = _build_archive(_random_days(40, seed=41))
+        growing = ListArchive(provider="prop")
+        index = DomainIndex()
+        published = {}  # id(column) -> (column, its bytes when published)
+        for snapshot in archive:
+            growing.add(snapshot)
+            index.add(growing)
+            for segment in _segments(index):
+                for column in segment[1:]:
+                    published.setdefault(id(column),
+                                         (column, column.tobytes()))
+        assert len(published) > 4 * len(_segments(index))
+        for column, saved in published.values():
+            assert column.tobytes() == saved
+
+    @given(_archive_days, st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_domain_count_counts_a_domain_once(self, days, data):
+        # A domain listed on days in different segments is one domain.
+        archive = _build_archive(days)
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(days) - 1)),
+                                label="cuts"))
+        split = _index_in_batches(archive, cuts)
+        assert (split.domain_count("prop") == _index_of(archive).domain_count("prop")
+                == len(set().union(*days)))
 
 
 class TestIndexRules:
