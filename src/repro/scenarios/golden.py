@@ -23,6 +23,7 @@ from typing import Any, Iterable, Mapping, Optional, Union
 
 from repro.scenarios.profiles import SimulationProfile, get_profile, profile_names
 from repro.scenarios.runner import ScenarioReport, run_scenario
+from repro.util import canonical_json
 
 
 def golden_path(directory: Union[str, Path], profile_name: str) -> Path:
@@ -32,7 +33,7 @@ def golden_path(directory: Union[str, Path], profile_name: str) -> Path:
 
 def fingerprint_to_json(fingerprint: Mapping[str, Any]) -> str:
     """Canonical JSON serialisation of a fingerprint (sorted, newline-terminated)."""
-    return json.dumps(fingerprint, indent=2, sort_keys=True) + "\n"
+    return canonical_json.dumps(fingerprint)
 
 
 def write_golden(report: ScenarioReport, directory: Union[str, Path]) -> Path:

@@ -43,6 +43,7 @@ from repro.providers.base import ListArchive
 from repro.providers.simulation import SimulationRun, run_profile
 from repro.ranking.manipulation import UmbrellaInjectionExperiment
 from repro.scenarios.profiles import SimulationProfile, get_profile
+from repro.util import canonical_json
 
 #: Bump when the report layout changes incompatibly (goldens must then be
 #: regenerated intentionally via ``make goldens``).
@@ -129,7 +130,7 @@ class ScenarioReport:
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, stable layout, byte-reproducible."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return canonical_json.dumps(self.to_dict())
 
     def to_bytes(self) -> bytes:
         """The canonical JSON document as UTF-8 bytes.

@@ -34,8 +34,9 @@ Every payload is built from the same :mod:`repro.core` /
 :mod:`repro.scenarios` calls a library user would make directly, floats
 pass through :func:`repro.scenarios.runner.canonical_float`, and
 serialisation is canonical JSON (sorted keys, two-space indent, trailing
-newline) — so an endpoint's bytes are *identical* to computing the answer
-in-process (asserted in ``tests/test_service_api.py``).
+newline; :mod:`repro.util.canonical_json`) — so an endpoint's bytes are
+*identical* to computing the answer in-process (asserted in
+``tests/test_service_api.py``).
 
 Responses carry a strong ETag (SHA-256 of the body) and honour
 ``If-None-Match``; bodies are memoised in a bounded LRU keyed on
@@ -81,8 +82,10 @@ import io
 import json
 import threading
 import time
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, unquote, urlencode, urlsplit
 
@@ -106,6 +109,7 @@ from repro.providers.base import ListArchive, ListSnapshot
 from repro.scenarios.runner import canonical_float as _f
 from repro.service.index import DomainIndex
 from repro.service.store import ArchiveStore, StoreConflictError, StoreError
+from repro.util import canonical_json
 from repro.util.ringlog import RingLog
 
 #: Default bound of the per-service response LRU.
@@ -130,6 +134,9 @@ MAX_BATCH_REQUESTS = 100
 #: (append entries carry whole days, so batches stay deliberately small).
 DEFAULT_REPLICATION_BATCH = 16
 MAX_REPLICATION_BATCH = 256
+
+#: The date of one index ``(date, rank)`` observation (bisect key).
+_date = itemgetter(0)
 
 #: Query parameters each route accepts; anything else is a 400 (a typoed
 #: parameter silently changing nothing is worse than an error).
@@ -224,10 +231,12 @@ class Response:
 def json_bytes(payload: Any) -> bytes:
     """Canonical JSON bytes: sorted keys, indent 2, trailing newline.
 
-    The one serialisation used for every payload — identical to
-    :meth:`repro.scenarios.runner.ScenarioReport.to_json`.
+    The UTF-8 of :func:`repro.util.canonical_json.dumps`, the one
+    serialisation the repo has, so a payload's bytes equal
+    :meth:`repro.scenarios.runner.ScenarioReport.to_json`'s for the same
+    document by construction.
     """
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return canonical_json.dumps(payload).encode("utf-8")
 
 
 def _etag_of(body: bytes) -> str:
@@ -542,9 +551,13 @@ class QueryService:
                                top_k: Optional[int] = None) -> dict[str, Any]:
         """Rank history + longevity of one domain across providers.
 
-        Answered entirely from the :class:`DomainIndex`; byte-identical
-        to scanning the archives directly (the parity tests do exactly
-        that).
+        Answered entirely from the :class:`DomainIndex`, with one
+        unwindowed :meth:`~DomainIndex.history` lookup per provider: the
+        window, its best and worst rank, the longevity and the
+        days-in-top-k are all read off that one list.  Byte-identical to
+        scanning the archives directly (the parity tests do exactly
+        that) and to the index's own windowed ``history``, ``longevity``
+        and ``days_in_top_k`` answers.
         """
         name = domain.strip().lower().rstrip(".")
         if not name:
@@ -555,21 +568,26 @@ class QueryService:
         for provider in selected:
             if provider not in self._archives:
                 raise ApiError(404, f"unknown provider {provider!r}")
-            observations = index.history(name, provider, start=start, end=end)
-            longevity = index.longevity(name, provider)
+            history = index.history(name, provider)
+            observations = history
+            if start is not None or end is not None:
+                lo = 0 if start is None else bisect_left(history, start, key=_date)
+                hi = (len(history) if end is None
+                      else bisect_right(history, end, lo, key=_date))
+                observations = history[lo:hi]
+            ranks = [rank for _, rank in observations]
             section: dict[str, Any] = {
                 "observations": [{"date": date.isoformat(), "rank": rank}
                                  for date, rank in observations],
-                "days_listed": longevity.days_listed,
-                "first_seen": (longevity.first_seen.isoformat()
-                               if longevity.first_seen else None),
-                "last_seen": (longevity.last_seen.isoformat()
-                              if longevity.last_seen else None),
-                "best_rank": min((r for _, r in observations), default=None),
-                "worst_rank": max((r for _, r in observations), default=None),
+                "days_listed": len(history),
+                "first_seen": history[0][0].isoformat() if history else None,
+                "last_seen": history[-1][0].isoformat() if history else None,
+                "best_rank": min(ranks, default=None),
+                "worst_rank": max(ranks, default=None),
             }
             if top_k is not None:
-                section["days_in_top_k"] = index.days_in_top_k(name, provider, top_k)
+                section["days_in_top_k"] = sum(1 for _, rank in history
+                                               if rank <= top_k)
             sections[provider] = section
         payload: dict[str, Any] = {"domain": name, "providers": sections}
         if start is not None:

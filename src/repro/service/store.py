@@ -80,6 +80,7 @@ from repro.obs import metrics
 from repro.domain.psl import default_list
 from repro.interning import default_interner
 from repro.providers.base import ListArchive, ListSnapshot
+from repro.util import canonical_json
 
 #: Per-record magic; bump the digit on incompatible format changes.
 #: v3 records are *chunked*: the header is followed by a chunk directory
@@ -460,7 +461,7 @@ class ArchiveStore:
         (the append rollback) call this and then
         :meth:`_fsync_dir` separately.
         """
-        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        text = canonical_json.dumps(manifest)
         tmp = self._manifest_path.with_suffix(".json.tmp")
         with tmp.open("w", encoding="utf-8") as handle:
             if faults.ACTIVE is None:

@@ -9,6 +9,9 @@ re-implementing per call site:
 * :mod:`repro.util.ringlog` — a drop-oldest bounded list for
   diagnostic traces that must not grow without bound in long-running
   processes.
+* :mod:`repro.util.canonical_json` — the one canonical JSON
+  serialisation (payloads, reports, fingerprints, manifests), the
+  stdlib's indented sorted layout at C-encoder speed.
 """
 
 from repro.util.ringlog import RingLog

@@ -7,7 +7,9 @@ and days-in-top-k — and that the answers
 survive an :class:`~repro.service.store.ArchiveStore` round trip and any
 split of an archive's days across ``add()`` calls, down to identical
 per-domain postings; the segment tests pin the layout's own rules
-(bounded segment count, published columns never written).
+(bounded segment count, published columns never written), and the
+``/v1`` history payload, which derives its window and summaries from one
+unwindowed lookup, must agree with those methods field for field.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.cache import extend_base_id_sets
 from repro.providers.base import ListArchive, ListSnapshot
+from repro.service.api import QueryService
 from repro.service.index import DomainIndex
 from repro.service.store import ArchiveStore
 
@@ -318,6 +321,60 @@ class TestIndexRules:
         assert index.history("d0.com", "alexa")[0][1] == 1
         assert index.history("d0.com", "majestic")[0][1] == 2
         assert index.domain_count("alexa") == 2
+
+
+class TestHistoryPayload:
+    """``/v1`` history reads one unwindowed ``history`` per provider and
+    derives the rest; every derived field must equal the index's own
+    windowed ``history``, ``longevity`` and ``days_in_top_k`` answers."""
+
+    PROVIDERS = ("alexa", "majestic", "umbrella")
+
+    def test_payload_fields_equal_the_index_methods(self, tmp_path):
+        archives = {provider: _build_archive(_random_days(9, seed), provider)
+                    for seed, provider in enumerate(self.PROVIDERS)}
+        store = ArchiveStore.from_archives(
+            tmp_path, {provider: ListArchive.from_snapshots(
+                archive.snapshots()[:2]) for provider, archive in archives.items()})
+        service = QueryService(store)
+        service.handle_request("/v1/meta")
+        # One adopted day at a time: several segments per provider.
+        for day in range(2, 9):
+            for archive in archives.values():
+                store.append(archive[day])
+            service.handle_request("/v1/meta")
+        index = service.index
+        assert all(len(_segments(index, p)) > 1 for p in self.PROVIDERS)
+
+        dates = archives["alexa"].dates()
+        one_day = dt.timedelta(days=1)
+        bounds = [None, dates[0] - one_day, dates[0], dates[2], dates[3],
+                  dates[6], dates[-1], dates[-1] + one_day]
+        for domain in _POOL + ("never-listed.example",):
+            for provider in self.PROVIDERS:
+                longevity = index.longevity(domain, provider)
+                for start in bounds:
+                    for end in bounds:
+                        for top_k in (None, 1, 5):
+                            section = service.domain_history_payload(
+                                domain, [provider], start, end, top_k
+                            )["providers"][provider]
+                            window = index.history(domain, provider, start, end)
+                            assert section["observations"] == [
+                                {"date": d.isoformat(), "rank": r}
+                                for d, r in window], (domain, start, end)
+                            ranks = [r for _, r in window]
+                            assert section["best_rank"] == min(ranks, default=None)
+                            assert section["worst_rank"] == max(ranks, default=None)
+                            assert section["days_listed"] == longevity.days_listed
+                            assert section["first_seen"] == (
+                                longevity.first_seen and longevity.first_seen.isoformat())
+                            assert section["last_seen"] == (
+                                longevity.last_seen and longevity.last_seen.isoformat())
+                            assert section.get("days_in_top_k") == (
+                                None if top_k is None
+                                else index.days_in_top_k(domain, provider, top_k))
+        store.close()
 
 
 @pytest.mark.scale

@@ -370,10 +370,21 @@ class TestPoolSupervision:
             store.close()
 
     def test_killed_worker_slot_records_signal_exit(self, pool):
-        slots = pool.describe()["workers"]
-        exits = [slot["last_exit"] for slot in slots
-                 if slot["last_exit"] is not None]
-        assert -signal.SIGKILL in exits
+        # Kill a reader here, so the test stands alone in any order.
+        victim = next(slot for slot in pool.describe()["workers"]
+                      if slot["role"] == "reader" and slot["pid"] is not None)
+        os.kill(victim["pid"], signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            slot = next(slot for slot in pool.describe()["workers"]
+                        if slot["name"] == victim["name"])
+            if slot["restarts"] > victim["restarts"] and slot["pid"] is not None:
+                break
+            time.sleep(0.05)
+        assert slot["restarts"] == victim["restarts"] + 1
+        assert slot["pid"] not in (None, victim["pid"])
+        assert slot["last_exit"] == -signal.SIGKILL
+        pool.wait_ready(timeout=10)
 
 
 class TestPoolDrain:
