@@ -82,10 +82,8 @@ import io
 import json
 import threading
 import time
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Any, Mapping, Optional, Sequence
 from urllib.parse import parse_qs, unquote, urlencode, urlsplit
 
@@ -134,9 +132,6 @@ MAX_BATCH_REQUESTS = 100
 #: (append entries carry whole days, so batches stay deliberately small).
 DEFAULT_REPLICATION_BATCH = 16
 MAX_REPLICATION_BATCH = 256
-
-#: The date of one index ``(date, rank)`` observation (bisect key).
-_date = itemgetter(0)
 
 #: Query parameters each route accepts; anything else is a 400 (a typoed
 #: parameter silently changing nothing is worse than an error).
@@ -552,12 +547,11 @@ class QueryService:
         """Rank history + longevity of one domain across providers.
 
         Answered entirely from the :class:`DomainIndex`, with one
-        unwindowed :meth:`~DomainIndex.history` lookup per provider: the
-        window, its best and worst rank, the longevity and the
-        days-in-top-k are all read off that one list.  Byte-identical to
-        scanning the archives directly (the parity tests do exactly
-        that) and to the index's own windowed ``history``, ``longevity``
-        and ``days_in_top_k`` answers.
+        :meth:`~DomainIndex.view` lookup per provider (the window, the
+        longevity and the days-in-top-k off one bisect of each segment);
+        byte-identical to scanning the archives directly (the parity
+        tests do exactly that) and to the index's own ``history``,
+        ``longevity`` and ``days_in_top_k`` answers.
         """
         name = domain.strip().lower().rstrip(".")
         if not name:
@@ -568,26 +562,21 @@ class QueryService:
         for provider in selected:
             if provider not in self._archives:
                 raise ApiError(404, f"unknown provider {provider!r}")
-            history = index.history(name, provider)
-            observations = history
-            if start is not None or end is not None:
-                lo = 0 if start is None else bisect_left(history, start, key=_date)
-                hi = (len(history) if end is None
-                      else bisect_right(history, end, lo, key=_date))
-                observations = history[lo:hi]
-            ranks = [rank for _, rank in observations]
+            observations, longevity, in_top_k = index.view(
+                name, provider, start, end, top_k)
             section: dict[str, Any] = {
                 "observations": [{"date": date.isoformat(), "rank": rank}
                                  for date, rank in observations],
-                "days_listed": len(history),
-                "first_seen": history[0][0].isoformat() if history else None,
-                "last_seen": history[-1][0].isoformat() if history else None,
-                "best_rank": min(ranks, default=None),
-                "worst_rank": max(ranks, default=None),
+                "days_listed": longevity.days_listed,
+                "first_seen": (longevity.first_seen.isoformat()
+                               if longevity.first_seen else None),
+                "last_seen": (longevity.last_seen.isoformat()
+                              if longevity.last_seen else None),
+                "best_rank": min((r for _, r in observations), default=None),
+                "worst_rank": max((r for _, r in observations), default=None),
             }
             if top_k is not None:
-                section["days_in_top_k"] = sum(1 for _, rank in history
-                                               if rank <= top_k)
+                section["days_in_top_k"] = in_top_k
             sections[provider] = section
         payload: dict[str, Any] = {"domain": name, "providers": sections}
         if start is not None:

@@ -46,6 +46,14 @@ class DomainLongevity:
     last_seen: Optional[dt.date]
 
 
+class DomainView(NamedTuple):
+    """One domain in one provider, as a ``/v1`` history section reads it."""
+
+    history: list[tuple[dt.date, int]]  # observations in the window
+    longevity: DomainLongevity          # over the whole history
+    days_in_top_k: Optional[int]        # ``None`` unless ``top_k`` was given
+
+
 class _Segment(NamedTuple):
     """Immutable CSR postings of a run of consecutive indexed days.
 
@@ -58,6 +66,9 @@ class _Segment(NamedTuple):
     offsets: array
     ordinals: array
     ranks: array
+
+
+_Runs = list[tuple[_Segment, int, int]]  # one domain's (segment, lo, hi) slices
 
 
 class _ProviderIndex(NamedTuple):
@@ -164,8 +175,7 @@ class DomainIndex:
         return self._providers.get(provider, _UNINDEXED).domain_count
 
     # -- queries ----------------------------------------------------------
-    def _runs(self, domain: str,
-              provider: str) -> list[tuple[_Segment, int, int]]:
+    def _runs(self, domain: str, provider: str) -> _Runs:
         """The domain's ``(segment, lo, hi)`` observation slices, oldest first."""
         self.lookups += 1
         state = self._providers.get(provider)
@@ -192,31 +202,53 @@ class DomainIndex:
         length ``h`` with ``h'`` observations in the window — never an
         archive scan.
         """
-        history: list[tuple[dt.date, int]] = []
-        for segment, lo, hi in self._runs(domain, provider):
-            ordinals = segment.ordinals
-            if start is not None:
-                lo = bisect_left(ordinals, start.toordinal(), lo, hi)
-            if end is not None:
-                hi = bisect_left(ordinals, end.toordinal() + 1, lo, hi)
-            history += zip(map(dt.date.fromordinal, ordinals[lo:hi]),
-                           segment.ranks[lo:hi])
-        return history
+        return _window(self._runs(domain, provider), start, end)
 
     def longevity(self, domain: str, provider: str) -> DomainLongevity:
         """Days listed plus first/last sighting (Figure 2c's per-domain view)."""
-        runs = self._runs(domain, provider)
-        if not runs:
-            return DomainLongevity(days_listed=0, first_seen=None, last_seen=None)
-        (first, lo, _), (last, _, hi) = runs[0], runs[-1]
-        return DomainLongevity(
-            days_listed=sum(hi - lo for _, lo, hi in runs),
-            first_seen=dt.date.fromordinal(first.ordinals[lo]),
-            last_seen=dt.date.fromordinal(last.ordinals[hi - 1]))
+        return _longevity(self._runs(domain, provider))
 
     def days_in_top_k(self, domain: str, provider: str, k: int) -> int:
         """Days the domain ranked within the Top-``k`` head."""
-        if k <= 0:
-            raise ValueError("k must be positive")
-        return sum(1 for segment, lo, hi in self._runs(domain, provider)
-                   for rank in segment.ranks[lo:hi] if rank <= k)
+        return _days_in_top_k(self._runs(domain, provider), k)
+
+    def view(self, domain: str, provider: str,
+             start: Optional[dt.date] = None,
+             end: Optional[dt.date] = None,
+             top_k: Optional[int] = None) -> DomainView:
+        """:meth:`history`, :meth:`longevity` and, given ``top_k``,
+        :meth:`days_in_top_k` off one lookup, at the cost of the window."""
+        runs = self._runs(domain, provider)
+        return DomainView(_window(runs, start, end), _longevity(runs),
+                          None if top_k is None else _days_in_top_k(runs, top_k))
+
+
+def _window(runs: _Runs, start: Optional[dt.date],
+            end: Optional[dt.date]) -> list[tuple[dt.date, int]]:
+    history: list[tuple[dt.date, int]] = []
+    for segment, lo, hi in runs:
+        ordinals = segment.ordinals
+        if start is not None:
+            lo = bisect_left(ordinals, start.toordinal(), lo, hi)
+        if end is not None:
+            hi = bisect_left(ordinals, end.toordinal() + 1, lo, hi)
+        history += zip(map(dt.date.fromordinal, ordinals[lo:hi]),
+                       segment.ranks[lo:hi])
+    return history
+
+
+def _longevity(runs: _Runs) -> DomainLongevity:
+    if not runs:
+        return DomainLongevity(days_listed=0, first_seen=None, last_seen=None)
+    (first, lo, _), (last, _, hi) = runs[0], runs[-1]
+    return DomainLongevity(
+        days_listed=sum(hi - lo for _, lo, hi in runs),
+        first_seen=dt.date.fromordinal(first.ordinals[lo]),
+        last_seen=dt.date.fromordinal(last.ordinals[hi - 1]))
+
+
+def _days_in_top_k(runs: _Runs, k: int) -> int:
+    if k <= 0:
+        raise ValueError("k must be positive")
+    return sum(1 for segment, lo, hi in runs
+               for rank in segment.ranks[lo:hi] if rank <= k)

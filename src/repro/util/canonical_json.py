@@ -9,11 +9,7 @@ recursive walk lays out the nested containers and hands each *flat*
 container (no list, tuple or dict among its members) to one call of the
 C encoder, whose item separator already carries the newline and the
 member indentation of that level; the walk only adds the opening and
-closing lines.  A list of non-empty flat dicts (every history
-``observations`` list) is one C call as well: the dict boundaries
-``"}" + separator + "{"`` are rewritten into the outer indentation.  That
-sequence can only be structure, because ASCII-escaped strings never hold
-a raw newline and every key and string value ends in a quote.
+closing lines.
 
 Scalars, key conversion (int, float, bool and None keys), the
 ``NaN``/``Infinity`` spellings and the ``TypeError`` for unsupported
@@ -27,7 +23,7 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from itertools import chain, repeat
+from itertools import repeat
 from json.encoder import INFINITY, c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable
 
@@ -111,15 +107,6 @@ def _flat(container: Any, level: int) -> str:
     return text[0] + inner + text[1:-1] + close + text[-1]
 
 
-def _flat_dicts(items: Any, level: int) -> str:
-    encode, inner, _ = _level(level + 1)
-    outer, close = _level(level)[1:]
-    body = "".join(encode(items, 0))[2:-2]
-    body = body.replace("}," + inner + "{",
-                        outer + "}," + outer + "{" + inner)
-    return "[" + outer + "{" + inner + body + outer + "}" + close + "]"
-
-
 def _encode(value: Any, level: int, out: list[str]) -> None:
     if isinstance(value, dict):
         if not value:
@@ -142,9 +129,6 @@ def _encode(value: Any, level: int, out: list[str]) -> None:
             out.append("[]")
         elif _flat_members(value):
             out.append(_flat(value, level))
-        elif (all(map(isinstance, value, repeat(dict))) and all(value)
-              and _flat_members(chain.from_iterable(map(dict.values, value)))):
-            out.append(_flat_dicts(value, level))
         else:
             _, inner, close = _level(level)
             lead = "[" + inner
@@ -159,8 +143,6 @@ def _encode(value: Any, level: int, out: list[str]) -> None:
 
 def dumps(obj: Any) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
-    if c_make_encoder is None:
-        return _stdlib(obj)
     out: list[str] = []
     try:
         _encode(obj, 0, out)

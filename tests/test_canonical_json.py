@@ -3,7 +3,7 @@
 :func:`repro.util.canonical_json.dumps` must return exactly
 ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` — on arbitrary JSON
 trees (Hypothesis), on the inputs its fast paths could get wrong (strings
-holding the structure it rewrites, non-string keys, floats outside the
+holding the separators and brackets it writes, non-string keys, floats outside the
 JSON grammar, empty containers) and on every payload kind the service
 serves.  The API tests compare served bytes with ``json_bytes``, which
 runs this encoder, so the stdlib comparisons here are the byte-identity
@@ -38,7 +38,7 @@ def outcome(encode, obj):
         return type(error), str(error)
 
 
-#: Strings made to collide with what the encoder rewrites or escapes.
+#: Strings made to collide with the structure the encoder writes or escapes.
 TRICKY = ["", "\n", "\r\n", '"', "\\", "},", "}," + "\n    {", "[", "{", "]",
           "}", ",\n  ", ": ", "\x00", "\x1f", "\x7f", "é", "日本", " ",
           "\ud800", "😀", "null", "NaN"]

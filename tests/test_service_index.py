@@ -8,8 +8,9 @@ survive an :class:`~repro.service.store.ArchiveStore` round trip and any
 split of an archive's days across ``add()`` calls, down to identical
 per-domain postings; the segment tests pin the layout's own rules
 (bounded segment count, published columns never written), and the
-``/v1`` history payload, which derives its window and summaries from one
-unwindowed lookup, must agree with those methods field for field.
+``/v1`` history payload, which reads its window and summaries off one
+``view`` lookup per provider, must agree with those methods field for
+field.
 """
 
 from __future__ import annotations
@@ -324,9 +325,9 @@ class TestIndexRules:
 
 
 class TestHistoryPayload:
-    """``/v1`` history reads one unwindowed ``history`` per provider and
-    derives the rest; every derived field must equal the index's own
-    windowed ``history``, ``longevity`` and ``days_in_top_k`` answers."""
+    """``/v1`` history reads one :meth:`DomainIndex.view` per provider;
+    every field must equal the index's own windowed ``history``,
+    ``longevity`` and ``days_in_top_k`` answers."""
 
     PROVIDERS = ("alexa", "majestic", "umbrella")
 
@@ -356,9 +357,11 @@ class TestHistoryPayload:
                 for start in bounds:
                     for end in bounds:
                         for top_k in (None, 1, 5):
+                            lookups = index.lookups
                             section = service.domain_history_payload(
                                 domain, [provider], start, end, top_k
                             )["providers"][provider]
+                            assert index.lookups == lookups + 1
                             window = index.history(domain, provider, start, end)
                             assert section["observations"] == [
                                 {"date": d.isoformat(), "rank": r}
@@ -374,6 +377,15 @@ class TestHistoryPayload:
                             assert section.get("days_in_top_k") == (
                                 None if top_k is None
                                 else index.days_in_top_k(domain, provider, top_k))
+        store.close()
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_non_positive_top_k_raises(self, tmp_path, top_k):
+        archive = _build_archive(_random_days(3, seed=3), "alexa")
+        store = ArchiveStore.from_archives(tmp_path, {"alexa": archive})
+        service = QueryService(store)
+        with pytest.raises(ValueError, match="k must be positive"):
+            service.domain_history_payload(_POOL[0], top_k=top_k)
         store.close()
 
 
